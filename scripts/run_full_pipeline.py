@@ -19,7 +19,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("pipeline_out"))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--participants", type=int, default=45)
-    parser.add_argument("--threads", type=int, default=8)
+    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     out = args.out

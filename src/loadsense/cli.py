@@ -186,6 +186,10 @@ def cmd_stats(args, argv) -> int:
 def cmd_train(args, argv) -> int:
     from .evaluate import _matrix, _labels, _rows_for_task
 
+    if args.subset and len(args.subset) > 1:
+        print("usage: loadsense train takes one --subset (a trained model uses one feature subset)",
+              file=sys.stderr)
+        return 2
     dataset = _load(args)
     rows = featurize_dataset(dataset)
     task = TASK_NAMES[args.task]

@@ -8,7 +8,6 @@ no participant contributes data to more than one role for the same model.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,7 +206,11 @@ def run_nested_cv(
     threads: int = 1,
 ) -> EvaluationReport:
     """Nested cross-validation over the split plan; cells are mean% +- std%
-    test accuracy over the outer folds."""
+    test accuracy over the outer folds.
+
+    `threads` is accepted and ignored: the folds run one after another,
+    because the fold work holds the interpreter lock and a thread pool
+    measured slower, not faster."""
     subsets = tuple(subsets) if subsets else tuple(FEATURE_SUBSETS)
     for name in subsets:
         if name not in FEATURE_SUBSETS:
@@ -219,11 +222,7 @@ def run_nested_cv(
     if not present <= planned:
         raise ValueError("split plan does not cover all participants present in the features")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fold_results = list(pool.map(lambda f: _evaluate_fold(task_rows, f, subsets, grids), plan.folds))
-    else:
-        fold_results = [_evaluate_fold(task_rows, fold, subsets, grids) for fold in plan.folds]
+    fold_results = [_evaluate_fold(task_rows, fold, subsets, grids) for fold in plan.folds]
 
     cells: dict[tuple[str, str], tuple[float, float]] = {}
     for kind in REPORT_ROWS:

@@ -8,9 +8,10 @@ model kind then grid order for equal validation scores).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,31 +165,90 @@ def _predict_knn(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 # AdaBoost with depth-1 stumps, one-vs-rest for multi-class
 
 
-def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray):
-    """Best weighted stump (feature, threshold, polarity); prediction is
-    polarity * sign(x[feature] - threshold), with sign(0) treated as -1."""
+class _Presort(NamedTuple):
+    """Per-fit stump candidates: every column sorted once, because the
+    boosting rounds change the weights but never the order."""
+
+    order: np.ndarray  # (p, n) row indices; per column, NaN rows first, then ascending values
+    splits: np.ndarray  # (T,) flat index j * (n + 1) + s; rows before position s predict -1
+    features: np.ndarray  # (T,) column of each threshold
+    thresholds: np.ndarray  # (T,) column by column, ascending within a column
+
+
+def _presort(X: np.ndarray) -> _Presort:
+    """Candidate thresholds per column: one below the minimum, then the
+    midpoint of each pair of adjacent distinct sorted values."""
     n, p = X.shape
-    best = None
+    orders, splits, features, thresholds = [], [], [], []
     for j in range(p):
         col = X[:, j]
         order = np.argsort(col, kind="stable")
         sorted_col = col[order]
-        # candidate thresholds: below the minimum, then midpoints of distinct values
-        thresholds = [sorted_col[0] - 1.0]
-        for a, b in zip(sorted_col, sorted_col[1:]):
-            if b > a:
-                thresholds.append(0.5 * (a + b))
-        for thr in thresholds:
-            pred = np.where(col > thr, 1.0, -1.0)
-            err_pos = float(w[pred != target].sum())
-            for polarity, err in ((1, err_pos), (-1, 1.0 - err_pos)):
-                if best is None or err < best[0] - 1e-15:
-                    best = (err, j, thr, polarity)
-    return best
+        nan = np.isnan(sorted_col)
+        distinct = sorted_col[1:] > sorted_col[:-1]
+        thr = np.concatenate([sorted_col[:1] - 1.0, 0.5 * (sorted_col[:-1][distinct] + sorted_col[1:][distinct])])
+        # col > thr is False for NaN rows, so they sit below every threshold; the
+        # split is found by value, so a midpoint that rounds onto a neighbour is exact
+        split = np.count_nonzero(nan) + np.searchsorted(sorted_col[~nan], thr, side="right")
+        orders.append(np.concatenate([order[nan], order[~nan]]))
+        splits.append(j * (n + 1) + split)
+        features.append(np.full(len(thr), j))
+        thresholds.append(thr)
+    return _Presort(np.asarray(orders), np.concatenate(splits), np.concatenate(features), np.concatenate(thresholds))
+
+
+def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray, presort: _Presort):
+    """Best weighted stump (err, feature, threshold, polarity); prediction is
+    polarity * sign(x[feature] - threshold), with sign(0) treated as -1.
+
+    Candidates are ranked feature, threshold, polarity +1 then -1, and a later
+    one wins only if its error is below the best so far by more than 1e-15.
+    Prefix sums over the presorted columns give every candidate's error at
+    once, but they add the weights in another order than the exact error
+    ``float(w[pred != target].sum())``.  Both are sums of at most n
+    non-negative weights, each within n * eps * sum(w) of the true sum, so
+    they differ by less than ``slack``.  Only a candidate within ``slack`` of
+    beating the best is evaluated exactly, and the strict-improvement chain
+    runs on exact errors alone.
+    """
+    p, n = presort.order.shape
+    w_pos = np.where(target > 0, w, 0.0)[presort.order]
+    w_neg = np.where(target > 0, 0.0, w)[presort.order]
+    pos_below = np.zeros((p, n + 1))
+    np.cumsum(w_pos, axis=1, out=pos_below[:, 1:])
+    neg_above = np.zeros_like(pos_below)
+    np.cumsum(w_neg[:, ::-1], axis=1, out=neg_above[:, -2::-1])
+    err_pos = pos_below.ravel()[presort.splits] + neg_above.ravel()[presort.splits]
+    approx = np.empty(2 * len(err_pos))
+    approx[0::2] = err_pos
+    approx[1::2] = 1.0 - err_pos
+    slack = 8.0 * (n + 2) * np.finfo(float).eps * max(float(np.abs(w).sum()), 1.0)
+
+    def exact(k: int):
+        j = int(presort.features[k // 2])
+        thr = presort.thresholds[k // 2]
+        pred = np.where(X[:, j] > thr, 1.0, -1.0)
+        err = float(w[pred != target].sum())
+        return (err, j, thr, 1) if k % 2 == 0 else (1.0 - err, j, thr, -1)
+
+    best = exact(0)
+    k = 1
+    while True:
+        ahead = np.flatnonzero(approx[k:] < best[0] - 1e-15 + slack)
+        if not ahead.size:
+            return best
+        k += int(ahead[0])
+        candidate = exact(k)
+        if candidate[0] < best[0] - 1e-15:
+            best = candidate
+        k += 1
 
 
 def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int, scaler: Scaler | None = None) -> TrainedModel:
-    """Discrete AdaBoost on decision stumps; multi-class via one-vs-rest margins."""
+    """Discrete AdaBoost on decision stumps; multi-class via one-vs-rest margins.
+
+    The rounds are deterministic, so the model fitted with fewer stumps is a
+    per-class prefix of this one's machines (see `grid_search`)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     classes = tuple(sorted(set(y.tolist())))
@@ -196,13 +256,14 @@ def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int, scaler: Scaler 
         raise ValueError("fit_adaboost: need at least 2 classes")
     if len(X) < 2:
         raise ValueError("fit_adaboost: need at least 2 samples")
+    presort = _presort(X)
     machines = []
     for c in classes:
         target = np.where(y == c, 1.0, -1.0)
         w = np.full(len(X), 1.0 / len(X))
         stumps = []
         for _ in range(n_stumps):
-            err, j, thr, polarity = _fit_stump(X, target, w)
+            err, j, thr, polarity = _fit_stump(X, target, w, presort)
             if err >= 0.5:
                 break
             err = min(max(err, 1e-10), 1.0 - 1e-10)
@@ -216,12 +277,20 @@ def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int, scaler: Scaler 
     return TrainedModel(kind="AdaBoost", classes=classes, params=params, scaler=scaler)
 
 
-def _predict_adaboost(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+def _adaboost_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """One-vs-rest margins, (n_samples, n_classes)."""
     scores = np.zeros((len(X), len(model.classes)))
     for ci, stumps in enumerate(model.params["machines"]):
-        for j, thr, polarity, alpha in stumps:
-            scores[:, ci] += alpha * polarity * np.where(X[:, j] > thr, 1.0, -1.0)
-    idx = np.argmax(scores, axis=1)
+        if stumps:
+            j, thr, polarity, alpha = (np.asarray(v) for v in zip(*stumps))
+            terms = alpha * polarity * np.where(X[:, j] > thr, 1.0, -1.0)
+            # cumsum adds the stumps one after another, in fit order; sum() would pair them up
+            scores[:, ci] = np.cumsum(terms, axis=1)[:, -1]
+    return scores
+
+
+def _predict_adaboost(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    idx = np.argmax(_adaboost_scores(model, X), axis=1)
     return np.asarray(model.classes)[idx]
 
 
@@ -267,7 +336,6 @@ class Candidate:
 _FITTERS = {
     "LDA": lambda X, y, cfg: fit_lda(X, y, **cfg),
     "KNN": lambda X, y, cfg: fit_knn(X, y, **cfg),
-    "AdaBoost": lambda X, y, cfg: fit_adaboost(X, y, **cfg),
 }
 
 
@@ -281,6 +349,8 @@ def grid_search(
     """Train every grid configuration and rank by validation accuracy.
 
     Ties rank by model kind order (LDA < KNN < AdaBoost), then grid order.
+    A KNN configuration whose k exceeds the training set size is left out;
+    a model kind with no configuration left raises ValueError.
     """
     if len(np.asarray(X_val)) == 0:
         raise ValueError("grid_search: empty validation set")
@@ -290,12 +360,25 @@ def grid_search(
     candidates = []
     order = 0
     for kind in MODEL_KINDS:
-        for cfg in grids.get(kind, []):
-            model = _FITTERS[kind](X_train, y_train, cfg)
-            candidates.append(
-                Candidate(kind=kind, config=cfg, model=model,
-                          val_accuracy=accuracy(model, X_val, y_val), order=order)
-            )
+        configs = grids.get(kind, [])
+        # a KNN k above the training set size cannot run: skipped, but it keeps its order number
+        skipped = [kind == "KNN" and cfg["k"] > len(X_train) for cfg in configs]
+        if configs and all(skipped):
+            raise ValueError(f"grid_search: no {kind} configuration can run on {len(X_train)} training rows")
+        if kind == "AdaBoost" and configs:
+            # one boosting run at the largest size; smaller sizes are exact per-class prefixes
+            boosted = fit_adaboost(X_train, y_train, max(cfg["n_stumps"] for cfg in configs))
+        for cfg, skip in zip(configs, skipped):
+            if not skip:
+                if kind == "AdaBoost":
+                    machines = [stumps[: cfg["n_stumps"]] for stumps in boosted.params["machines"]]
+                    model = dataclasses.replace(boosted, params={"machines": machines})
+                else:
+                    model = _FITTERS[kind](X_train, y_train, cfg)
+                candidates.append(
+                    Candidate(kind=kind, config=cfg, model=model,
+                              val_accuracy=accuracy(model, X_val, y_val), order=order)
+                )
             order += 1
     candidates.sort(key=lambda c: (-c.val_accuracy, c.order))
     return candidates

@@ -87,6 +87,15 @@ class TestTrainEvaluate:
         assert doc["model"]["kind"] == "Ensemble"
         assert doc["seed"] == 5
 
+    def test_train_rejects_a_second_subset(self, dataset_dir, tmp_path, capsys):
+        code = run_cli(
+            ["train", "--dataset", str(dataset_dir), "--out", str(tmp_path),
+             "--seed", "5", "--task", "nback", "--subset", "heart", "--subset", "all"]
+        )
+        assert code == 2
+        assert "one --subset" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_evaluate_writes_reports_exit_0(self, dataset_dir, tmp_path, capsys):
         code = run_cli(
             ["evaluate", "--dataset", str(dataset_dir), "--out", str(tmp_path),

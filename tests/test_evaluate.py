@@ -111,6 +111,13 @@ class TestNestedCv:
         assert rep.chance_percent == 50.0
         assert rep.scheme == "binary"
 
+    def test_binary_scheme_runs_below_ten_participants(self):
+        # 9 participants leave 8 binary training rows in some folds: the k = 9 KNN config is skipped
+        rows = small_feature_rows(n_participants=9)
+        plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=0)
+        rep = run_nested_cv(rows, TaskKind.NBACK, "binary", plan, subsets=("heart",))
+        assert set(rep.cells) == {(m, "heart") for m in REPORT_ROWS}
+
     def test_unknown_subset_rejected(self):
         rows = small_feature_rows()
         plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=0)

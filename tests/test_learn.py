@@ -10,6 +10,9 @@ from loadsense.learn import (
     DEFAULT_GRIDS,
     MODEL_KINDS,
     TrainedModel,
+    _adaboost_scores,
+    _fit_stump,
+    _presort,
     accuracy,
     apply_scaler,
     fit_adaboost,
@@ -185,6 +188,127 @@ class TestAdaBoost:
         assert accuracy(model, X, y) >= 0.95
 
 
+def _reference_fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray):
+    """The per-threshold stump search the presorted one replaced: the oracle."""
+    n, p = X.shape
+    best = None
+    for j in range(p):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        # candidate thresholds: below the minimum, then midpoints of distinct values
+        thresholds = [sorted_col[0] - 1.0]
+        for a, b in zip(sorted_col, sorted_col[1:]):
+            if b > a:
+                thresholds.append(0.5 * (a + b))
+        for thr in thresholds:
+            pred = np.where(col > thr, 1.0, -1.0)
+            err_pos = float(w[pred != target].sum())
+            for polarity, err in ((1, err_pos), (-1, 1.0 - err_pos)):
+                if best is None or err < best[0] - 1e-15:
+                    best = (err, j, thr, polarity)
+    return best
+
+
+def _reference_adaboost_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """The stump-by-stump margin loop the stacked one replaced: the oracle."""
+    scores = np.zeros((len(X), len(model.classes)))
+    for ci, stumps in enumerate(model.params["machines"]):
+        for j, thr, polarity, alpha in stumps:
+            scores[:, ci] += alpha * polarity * np.where(X[:, j] > thr, 1.0, -1.0)
+    return scores
+
+
+def random_stump_problem(rng, trial):
+    """Seeded stump-search input: n in 2-40, p in 1-8, with rounded duplicates,
+    constant columns, an all-zero X, and uniform or random weights."""
+    n = int(rng.integers(2, 41))
+    p = int(rng.integers(1, 9))
+    X = rng.normal(size=(n, p))
+    shape = trial % 5
+    if shape == 1:
+        X = np.round(X, 1)
+    elif shape == 2:
+        X[:, int(rng.integers(0, p))] = 3.0
+    elif shape == 3:
+        X = np.zeros((n, p))
+    elif shape == 4:
+        X = np.round(X * 2.0) / 2.0
+    target = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if trial % 2:
+        w = np.full(n, 1.0 / n)
+    else:
+        w = rng.random(n)
+        w /= w.sum()
+    return X, target, w
+
+
+class TestStumpSearchOracle:
+    def test_matches_reference_on_random_problems(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(1200):
+            X, target, w = random_stump_problem(rng, trial)
+            assert _fit_stump(X, target, w, _presort(X)) == _reference_fit_stump(X, target, w), trial
+
+    def test_matches_reference_with_non_finite_values(self):
+        rng = np.random.default_rng(2025)
+        for trial in range(200):
+            X, target, w = random_stump_problem(rng, trial)
+            X[rng.random(X.shape) < 0.1] = np.nan
+            X[rng.random(X.shape) < 0.05] = np.inf
+            X[rng.random(X.shape) < 0.05] = -np.inf
+            got = _fit_stump(X, target, w, _presort(X))
+            want = _reference_fit_stump(X, target, w)
+            # a NaN threshold (an all-NaN column) never equals itself
+            assert got[:2] + got[3:] == want[:2] + want[3:], trial
+            assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2])), trial
+
+    def test_boosted_weights_match_reference(self):
+        """Whole boosting runs: each round's stump depends on every earlier one."""
+        rng = np.random.default_rng(2026)
+        for trial in range(30):
+            X, y = blobs(rng, [(-0.5, 0.0, 0.3), (0.5, 0.2, -0.3), (0.0, -0.4, 0.0)], 6)
+            X = np.round(X, 1)
+            target = np.where(y == trial % 3, 1.0, -1.0)
+            w = np.full(len(X), 1.0 / len(X))
+            presort = _presort(X)
+            for _ in range(40):
+                got = _fit_stump(X, target, w, presort)
+                assert got == _reference_fit_stump(X, target, w)
+                err, j, thr, polarity = got
+                if err >= 0.5:
+                    break
+                err = min(max(err, 1e-10), 1.0 - 1e-10)
+                alpha = 0.5 * np.log((1.0 - err) / err)
+                w = w * np.exp(-alpha * target * polarity * np.where(X[:, j] > thr, 1.0, -1.0))
+                w /= w.sum()
+
+
+class TestAdaBoostPredictOracle:
+    def test_scores_and_predictions_match_the_loop(self):
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            X, y = blobs(rng, [(-1.0, 0.0), (1.0, 0.5), (0.0, -1.0)], 8)
+            model = fit_adaboost(X, y, n_stumps=int(rng.integers(1, 60)))
+            Xt = rng.normal(size=(25, 2))
+            reference = _reference_adaboost_scores(model, Xt)
+            assert np.array_equal(_adaboost_scores(model, Xt), reference)
+            assert np.array_equal(model.predict(Xt), np.asarray(model.classes)[np.argmax(reference, axis=1)])
+
+    def test_empty_machine_scores_zero(self):
+        X = np.zeros((4, 1))
+        y = np.asarray([0, 1, 0, 1])
+        model = fit_adaboost(X, y, n_stumps=10)  # every stump errs 0.5: no stump kept
+        assert model.params["machines"] == [[], []]
+        assert np.array_equal(_adaboost_scores(model, X), np.zeros((4, 2)))
+
+
+# one feature with conflicting duplicates: the machines stop on err >= 0.5
+# after 1 and 3 stumps
+EARLY_STOP_X = np.asarray([[2.0], [0.0], [2.0], [1.0], [1.0], [1.0], [0.0], [2.0], [0.0]])
+EARLY_STOP_Y = np.asarray([0, 1, 1, 1, 0, 0, 0, 0, 0])
+
+
 class TestGridSearch:
     def test_single_configuration_ranks_first(self):
         rng = np.random.default_rng(7)
@@ -220,6 +344,34 @@ class TestGridSearch:
         kinds = {c.kind for c in grid_search(X, y, X, y)}
         assert kinds == set(MODEL_KINDS)
         assert len(grid_search(X, y, X, y)) == sum(len(g) for g in DEFAULT_GRIDS.values())
+
+
+    @pytest.mark.parametrize("case", ["blobs", "early_stop"])
+    def test_adaboost_candidates_equal_separate_fits(self, case):
+        if case == "blobs":
+            X, y = blobs(np.random.default_rng(18), [(-1.0, 0.0), (1.0, 0.5), (0.0, -1.0)], 7)
+        else:
+            X, y = EARLY_STOP_X, EARLY_STOP_Y
+            assert [len(m) for m in fit_adaboost(X, y, n_stumps=100).params["machines"]] == [1, 3]
+        candidates = grid_search(X, y, X, y)
+        boosted = {c.config["n_stumps"]: c.model for c in candidates if c.kind == "AdaBoost"}
+        assert sorted(boosted) == [25, 50, 100]
+        for n_stumps, model in boosted.items():
+            assert model == fit_adaboost(X, y, n_stumps=n_stumps)
+
+    def test_knn_configs_above_training_size_are_skipped(self):
+        rng = np.random.default_rng(19)
+        X, y = blobs(rng, [(-1.0,), (1.0,)], 4)  # 8 training rows: k = 9 cannot run
+        candidates = grid_search(X, y, X, y, DEFAULT_GRIDS)
+        knn = sorted((c.order, c.config["k"]) for c in candidates if c.kind == "KNN")
+        assert knn == [(4, 1), (5, 3), (6, 5), (7, 7)]
+        assert sorted(c.order for c in candidates if c.kind == "AdaBoost") == [9, 10, 11]
+        assert len(candidates) == sum(len(g) for g in DEFAULT_GRIDS.values()) - 1
+
+    def test_kind_with_no_runnable_config_rejected(self):
+        X, y = blobs(np.random.default_rng(20), [(-1.0,), (1.0,)], 4)
+        with pytest.raises(ValueError, match="KNN"):
+            grid_search(X, y, X, y, {"LDA": [{"shrinkage": 0.1}], "KNN": [{"k": 9}]})
 
 
 def fixed_candidate(preds_on_val, X_val, kind="KNN", order=0, y_val=None):
