@@ -19,7 +19,6 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("pipeline_out"))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--participants", type=int, default=45)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     out = args.out
@@ -37,7 +36,7 @@ def main() -> int:
         steps.append(
             ["evaluate", "--dataset", str(out / "synth" / "dataset"),
              "--out", str(out / "reports"), "--seed", seed,
-             "--task", task, "--scheme", scheme, "--threads", str(args.threads)]
+             "--task", task, "--scheme", scheme]
         )
 
     for step in steps:

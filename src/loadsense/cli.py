@@ -27,8 +27,9 @@ from .evaluate import (
     make_split_plan,
     render_report,
     run_nested_cv,
+    train,
 )
-from .learn import grid_search, greedy_ensemble, model_to_json, fit_scaler, apply_scaler
+from .learn import model_to_json
 from .stats import (
     CONDITIONS,
     DIMENSIONS,
@@ -184,33 +185,13 @@ def cmd_stats(args, argv) -> int:
 
 
 def cmd_train(args, argv) -> int:
-    from .evaluate import _matrix, _labels, _rows_for_task
-
     if args.subset and len(args.subset) > 1:
         print("usage: loadsense train takes one --subset (a trained model uses one feature subset)",
               file=sys.stderr)
         return 2
-    dataset = _load(args)
-    rows = featurize_dataset(dataset)
-    task = TASK_NAMES[args.task]
-    task_rows = _rows_for_task(rows, task, args.scheme)
-    participants = sorted({r.participant for r in task_rows})
-    if len(participants) < 3:
-        raise DatasetError("need at least 3 participants to train")
-    rng = np.random.default_rng(args.seed)
-    shuffled = [participants[i] for i in rng.permutation(len(participants))]
-    n_val = max(1, math.ceil(len(shuffled) / 3))
-    val_ids, train_ids = set(shuffled[:n_val]), set(shuffled[n_val:])
-    train_rows = [r for r in task_rows if r.participant in train_ids]
-    val_rows = [r for r in task_rows if r.participant in val_ids]
-
-    subset = FEATURE_SUBSETS[args.subset[0]] if args.subset else FEATURE_SUBSETS["all"]
-    scaler = fit_scaler(_matrix(train_rows, subset))
-    X_train = apply_scaler(scaler, _matrix(train_rows, subset))
-    X_val = apply_scaler(scaler, _matrix(val_rows, subset))
-    candidates = grid_search(X_train, _labels(train_rows), X_val, _labels(val_rows))
-    ensemble = greedy_ensemble(candidates, X_val, _labels(val_rows))
-    ensemble = dataclasses.replace(ensemble, scaler=scaler)
+    rows = featurize_dataset(_load(args))
+    subset = args.subset[0] if args.subset else "all"
+    ensemble = train(rows, TASK_NAMES[args.task], args.scheme, subset, args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -169,19 +170,27 @@ def validate_segment(seg: SessionSegment) -> list[Issue]:
     _check_increasing((t for t, _, _ in seg.driving), "driving", issues)
 
     for _, rr_ms in seg.rr_intervals:
-        if rr_ms <= 0:
-            issues.append(Issue("error", f"non-positive RR interval {rr_ms!r}"))
+        if not 0 < rr_ms < math.inf:
+            problem = "non-positive" if rr_ms <= 0 else "non-finite"
+            issues.append(Issue("error", f"{problem} RR interval {rr_ms!r}"))
             break
 
+    # a diameter at confidence 0 is a blink: any value, NaN included, is accepted
     for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
         for _, diameter, conf in samples:
-            if conf > 0 and diameter <= 0:
-                issues.append(Issue("error", f"{name}: non-positive diameter at confidence > 0"))
+            if conf > 0 and not 0 < diameter < math.inf:
+                problem = "non-positive" if diameter <= 0 else "non-finite"
+                issues.append(Issue("error", f"{name}: {problem} diameter at confidence > 0"))
                 break
         for t, _, conf in samples:
             if not 0.0 <= conf <= 1.0:
                 issues.append(Issue("error", f"{name}: confidence {conf!r} outside [0, 1]"))
                 break
+
+    for _, lateral, _ in seg.driving:
+        if not math.isfinite(lateral):
+            issues.append(Issue("error", f"driving: non-finite lateral position {lateral!r}"))
+            break
 
     def _t_in_range(times: Iterable[float], name: str) -> None:
         for t in times:

@@ -8,16 +8,17 @@ no participant contributes data to more than one role for the same model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import FORMAT_VERSION
 from .cardiac import compute_cardiac_features
-from .core import Dataset, FEATURE_NAMES, FeatureVector, LoadLevel, SessionSegment, TaskKind
+from .core import Dataset, DatasetError, FEATURE_NAMES, FeatureVector, LoadLevel, SessionSegment, TaskKind
 from .driving import build_ideal_path, deviation_series, deviation_stats, DEFAULT_SPEED_MPS
-from .learn import DEFAULT_GRIDS, MODEL_KINDS, accuracy, apply_scaler, fit_scaler, grid_search, greedy_ensemble
+from .learn import DEFAULT_GRIDS, MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy, apply_scaler
+from .learn import fit_scaler, grid_search, greedy_ensemble
 from .pupil import compute_lhipa
 
 HEART_FEATURES = ("hr_mean", "hr_min", "hr_max", "hr_std", "hrv_rmssd")
@@ -58,21 +59,27 @@ class SplitPlan:
     seed: int
 
 
+def _shuffled(participant_ids: Sequence[str], seed: int) -> list[str]:
+    ids = sorted(set(participant_ids))
+    rng = np.random.default_rng(seed)
+    return [ids[i] for i in rng.permutation(len(ids))]
+
+
+def _fold(shuffled: Sequence[str], test: tuple[str, ...]) -> Fold:
+    """Of the participants not tested, in shuffled order, the first third
+    (rounded up) validate and the rest train."""
+    rest = [p for p in shuffled if p not in test]
+    n_val = math.ceil(len(rest) / 3)
+    return Fold(test=test, validation=tuple(rest[:n_val]), train=tuple(rest[n_val:]))
+
+
 def make_split_plan(participant_ids: Sequence[str], k: int = 5, seed: int = 0) -> SplitPlan:
     """Shuffle participants by seed; fold i tests participants i mod k, and a
     third (rounded up) of the remainder is held out for inner validation."""
-    ids = sorted(set(participant_ids))
-    if len(ids) < k:
-        raise ValueError(f"need at least {k} participants, got {len(ids)}")
-    rng = np.random.default_rng(seed)
-    shuffled = [ids[i] for i in rng.permutation(len(ids))]
-    folds = []
-    for i in range(k):
-        test = tuple(shuffled[i::k])
-        rest = [p for p in shuffled if p not in test]
-        n_val = math.ceil(len(rest) / 3)
-        folds.append(Fold(test=test, validation=tuple(rest[:n_val]), train=tuple(rest[n_val:])))
-    return SplitPlan(folds=tuple(folds), seed=seed)
+    shuffled = _shuffled(participant_ids, seed)
+    if len(shuffled) < k:
+        raise ValueError(f"need at least {k} participants, got {len(shuffled)}")
+    return SplitPlan(folds=tuple(_fold(shuffled, tuple(shuffled[i::k])) for i in range(k)), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -172,28 +179,56 @@ def _labels(rows: Sequence[FeatureRow]) -> np.ndarray:
     return np.asarray([int(r.level) for r in rows], dtype=int)
 
 
+def _rows_of(rows: Sequence[FeatureRow], participants: Sequence[str]) -> list[FeatureRow]:
+    members = set(participants)
+    return [r for r in rows if r.participant in members]
+
+
+def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureRow], subset: tuple[str, ...],
+                   grids: dict[str, list[dict]]) -> tuple[Scaler, list[Candidate], TrainedModel]:
+    """Fit the scaler on the training rows, grid-search every model kind and
+    select the greedy ensemble on the validation rows.  Returns (scaler,
+    candidates, ensemble); the candidates and the ensemble take scaled input."""
+    X_train = _matrix(train_rows, subset)
+    scaler = fit_scaler(X_train)
+    X_train = apply_scaler(scaler, X_train)
+    X_val = apply_scaler(scaler, _matrix(val_rows, subset))
+    y_val = _labels(val_rows)
+    candidates = grid_search(X_train, _labels(train_rows), X_val, y_val, grids)
+    return scaler, candidates, greedy_ensemble(candidates, X_val, y_val)
+
+
 def _evaluate_fold(rows, fold, subsets, grids):
     """Accuracy of each (model row, subset) on one outer fold's test rows."""
     result: dict[tuple[str, str], float] = {}
-    train_rows = [r for r in rows if r.participant in set(fold.train)]
-    val_rows = [r for r in rows if r.participant in set(fold.validation)]
-    test_rows = [r for r in rows if r.participant in set(fold.test)]
+    train_rows, val_rows = _rows_of(rows, fold.train), _rows_of(rows, fold.validation)
+    test_rows = _rows_of(rows, fold.test)
     if not test_rows:
         raise ValueError("fold has no test rows for the requested task")
-    y_train, y_val, y_test = _labels(train_rows), _labels(val_rows), _labels(test_rows)
+    y_test = _labels(test_rows)
     for subset_name in subsets:
         subset = FEATURE_SUBSETS[subset_name]
-        scaler = fit_scaler(_matrix(train_rows, subset))
-        X_train = apply_scaler(scaler, _matrix(train_rows, subset))
-        X_val = apply_scaler(scaler, _matrix(val_rows, subset))
+        scaler, candidates, ensemble = select_and_fit(train_rows, val_rows, subset, grids)
         X_test = apply_scaler(scaler, _matrix(test_rows, subset))
-        candidates = grid_search(X_train, y_train, X_val, y_val, grids)
         for kind in MODEL_KINDS:
             best = next(c for c in candidates if c.kind == kind)
             result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)
-        ensemble = greedy_ensemble(candidates, X_val, y_val)
         result[("Ensemble", subset_name)] = accuracy(ensemble, X_test, y_test)
     return result
+
+
+def train(rows: Sequence[FeatureRow], task: TaskKind, scheme: str, subset: str, seed: int) -> TrainedModel:
+    """The final model: the selection of one `run_nested_cv` fold, with no
+    test participants and a seeded one-third validation hold-out, returned as
+    the ensemble with its scaler attached (it takes unscaled input)."""
+    task_rows = _rows_for_task(rows, task, scheme)
+    shuffled = _shuffled([r.participant for r in task_rows], seed)
+    if len(shuffled) < 3:
+        raise DatasetError("need at least 3 participants to train")
+    fold = _fold(shuffled, ())
+    train_rows, val_rows = _rows_of(task_rows, fold.train), _rows_of(task_rows, fold.validation)
+    scaler, _, ensemble = select_and_fit(train_rows, val_rows, FEATURE_SUBSETS[subset], DEFAULT_GRIDS)
+    return replace(ensemble, scaler=scaler)
 
 
 def run_nested_cv(

@@ -298,17 +298,22 @@ def _predict_adaboost(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 # Ensemble
 
 
+def plurality_vote(preds: Sequence[np.ndarray], counts: Sequence[int], n_classes: int) -> np.ndarray:
+    """Per sample, the class with the most votes when each prediction array
+    votes `counts[i]` times.  Votes are integer counts; ties go to the lowest
+    class index."""
+    votes = np.zeros((len(preds[0]), n_classes), dtype=int)
+    rows = np.arange(len(preds[0]))
+    for pred, count in zip(preds, counts):
+        if count:
+            votes[rows, pred] += count
+    return np.argmax(votes, axis=1)
+
+
 def _predict_ensemble(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     members: list[tuple[TrainedModel, int]] = model.params["members"]
-    classes = sorted({c for m, _ in members for c in m.classes} | set(model.classes))
-    n_classes = max(classes) + 1
-    votes = np.zeros((len(X), n_classes))
-    for member, multiplicity in members:
-        pred = member.predict(X)
-        for c in classes:
-            votes[:, c] += multiplicity * (pred == c)
-    idx = np.argmax(votes, axis=1)  # ties go to the lowest class index
-    return idx
+    n_classes = max({c for m, _ in members for c in m.classes} | set(model.classes)) + 1
+    return plurality_vote([m.predict(X) for m, _ in members], [mult for _, mult in members], n_classes)
 
 
 _PREDICTORS = {
@@ -409,12 +414,7 @@ def greedy_ensemble(
     counts[seed_index] = 1
 
     def vote_accuracy(cnts) -> float:
-        votes = np.zeros((len(y_val), max(classes) + 1))
-        for pred, mult in zip(preds, cnts):
-            if mult:
-                for c in classes:
-                    votes[:, c] += mult * (pred == c)
-        return float(np.mean(np.argmax(votes, axis=1) == y_val))
+        return float(np.mean(plurality_vote(preds, cnts, max(classes) + 1) == y_val))
 
     best_acc = vote_accuracy(counts)
     while sum(counts) < max_size:

@@ -1,11 +1,17 @@
 """Command-line interface tests: happy paths, exit codes, provenance, determinism."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loadsense.cli import run_cli
+from loadsense.core import TaskKind, load_dataset
+from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
+from loadsense.learn import apply_scaler, fit_scaler, greedy_ensemble, grid_search, model_to_json
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -17,6 +23,18 @@ def dataset_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("synth")
     assert run_cli(["synth", "--out", str(out), "--participants", "12", "--seed", "5"]) == 0
     return out / "dataset"
+
+
+@pytest.fixture(scope="module")
+def small_dataset_dir(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("synth_small")
+    assert run_cli(["synth", "--out", str(out), "--participants", "5", "--seed", "5"]) == 0
+    return out / "dataset"
+
+
+@pytest.fixture(scope="module")
+def small_rows(small_dataset_dir):
+    return featurize_dataset(load_dataset(small_dataset_dir))
 
 
 class TestSynth:
@@ -76,6 +94,26 @@ class TestFeaturesAndStats:
         assert "72 segments" in out
 
 
+def _reference_train_json(rows, task, scheme, subset_name, seed):
+    """`cmd_train`'s split and fit before `evaluate.train`: the oracle for the
+    shared fit-and-select path."""
+    task_rows = _rows_for_task(rows, task, scheme)
+    participants = sorted({r.participant for r in task_rows})
+    rng = np.random.default_rng(seed)
+    shuffled = [participants[i] for i in rng.permutation(len(participants))]
+    n_val = max(1, math.ceil(len(shuffled) / 3))
+    val_ids, train_ids = set(shuffled[:n_val]), set(shuffled[n_val:])
+    train_rows = [r for r in task_rows if r.participant in train_ids]
+    val_rows = [r for r in task_rows if r.participant in val_ids]
+    subset = FEATURE_SUBSETS[subset_name]
+    scaler = fit_scaler(_matrix(train_rows, subset))
+    X_train = apply_scaler(scaler, _matrix(train_rows, subset))
+    X_val = apply_scaler(scaler, _matrix(val_rows, subset))
+    candidates = grid_search(X_train, _labels(train_rows), X_val, _labels(val_rows))
+    ensemble = greedy_ensemble(candidates, X_val, _labels(val_rows))
+    return model_to_json(dataclasses.replace(ensemble, scaler=scaler), seed=seed)
+
+
 class TestTrainEvaluate:
     def test_train_writes_model(self, dataset_dir, tmp_path):
         code = run_cli(
@@ -95,6 +133,16 @@ class TestTrainEvaluate:
         assert code == 2
         assert "one --subset" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("subset", ["all", "heart"])
+    def test_train_model_matches_the_old_fit_path(self, small_dataset_dir, small_rows, tmp_path, subset):
+        code = run_cli(
+            ["train", "--dataset", str(small_dataset_dir), "--out", str(tmp_path),
+             "--seed", "5", "--task", "nback", "--scheme", "multi", "--subset", subset]
+        )
+        assert code == 0
+        expected = _reference_train_json(small_rows, TaskKind.NBACK, "multi", subset, seed=5)
+        assert (tmp_path / "model.json").read_text() == expected
 
     def test_evaluate_writes_reports_exit_0(self, dataset_dir, tmp_path, capsys):
         code = run_cli(

@@ -1,6 +1,7 @@
 """Session model, validation, and on-disk round-trip tests."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -29,6 +30,32 @@ class TestValidateSegment:
         seg = dataclasses.replace(clean_segment, rr_intervals=rr)
         errors = [i for i in validate_segment(seg) if i.is_error]
         assert any("non-positive RR interval" in i.message for i in errors)
+
+    def test_non_finite_rr_is_an_error(self, clean_segment):
+        rr = ((1.0, 800.0), (1.8, math.inf))
+        seg = dataclasses.replace(clean_segment, rr_intervals=rr)
+        errors = [i for i in validate_segment(seg) if i.is_error]
+        assert [i.message for i in errors] == ["non-finite RR interval inf"]
+
+    def test_non_finite_diameter_at_confidence_is_an_error(self, clean_segment):
+        pupil = list(clean_segment.pupil_right)
+        pupil[10] = (pupil[10][0], math.nan, 1.0)
+        seg = dataclasses.replace(clean_segment, pupil_right=tuple(pupil))
+        errors = [i for i in validate_segment(seg) if i.is_error]
+        assert [i.message for i in errors] == ["pupil_right: non-finite diameter at confidence > 0"]
+
+    def test_nan_diameter_in_a_blink_is_accepted(self, clean_segment):
+        pupil = list(clean_segment.pupil_left)
+        pupil[10] = (pupil[10][0], math.nan, 0.0)
+        seg = dataclasses.replace(clean_segment, pupil_left=tuple(pupil))
+        assert validate_segment(seg) == []
+
+    def test_non_finite_lateral_position_is_an_error(self, clean_segment):
+        driving = list(clean_segment.driving)
+        driving[5] = (driving[5][0], math.nan, driving[5][2])
+        seg = dataclasses.replace(clean_segment, driving=tuple(driving))
+        errors = [i for i in validate_segment(seg) if i.is_error]
+        assert [i.message for i in errors] == ["driving: non-finite lateral position nan"]
 
     def test_forty_percent_gap_warns(self, clean_segment):
         pupil = list(make_pupil(120.0))

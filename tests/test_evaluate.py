@@ -1,18 +1,26 @@
 """Split hygiene, featurization, nested CV, and report rendering tests."""
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_segment
+from loadsense import evaluate
 from loadsense.cardiac import compute_cardiac_features
-from loadsense.core import Dataset, LoadLevel, TaskKind
+from loadsense.core import FEATURE_NAMES, Dataset, LoadLevel, TaskKind, validate_segment
 from loadsense.evaluate import (
     FEATURE_SUBSETS,
     REPORT_ROWS,
     SUBSET_TITLES,
     EvaluationReport,
+    Fold,
+    SplitPlan,
+    _labels,
+    _matrix,
     featurize_dataset,
     featurize_segment,
     make_split_plan,
@@ -20,6 +28,7 @@ from loadsense.evaluate import (
     render_report,
     run_nested_cv,
 )
+from loadsense.learn import MODEL_KINDS, accuracy, apply_scaler, fit_scaler, greedy_ensemble, grid_search
 from loadsense.pupil import compute_lhipa
 from loadsense.synth import GeneratorConfig, generate_dataset
 
@@ -59,6 +68,33 @@ class TestSplitPlan:
             make_split_plan(["a", "b"], k=5, seed=0)
 
 
+def _reference_make_split_plan(participant_ids, k=5, seed=0):
+    """`make_split_plan` before the shared validation hold-out helper."""
+    ids = sorted(set(participant_ids))
+    if len(ids) < k:
+        raise ValueError(f"need at least {k} participants, got {len(ids)}")
+    rng = np.random.default_rng(seed)
+    shuffled = [ids[i] for i in rng.permutation(len(ids))]
+    folds = []
+    for i in range(k):
+        test = tuple(shuffled[i::k])
+        rest = [p for p in shuffled if p not in test]
+        n_val = math.ceil(len(rest) / 3)
+        folds.append(Fold(test=test, validation=tuple(rest[:n_val]), train=tuple(rest[n_val:])))
+    return SplitPlan(folds=tuple(folds), seed=seed)
+
+
+class TestSplitPlanOracle:
+    def test_matches_the_old_plan(self):
+        for n in range(5, 50):
+            for seed in (0, 7, 11):
+                ids = [f"p{i:03d}" for i in range(n)]
+                assert make_split_plan(ids, k=5, seed=seed) == _reference_make_split_plan(ids, k=5, seed=seed)
+        for k in (2, 3, 10):
+            ids = [f"p{i}" for i in range(23)]
+            assert make_split_plan(ids, k=k, seed=4) == _reference_make_split_plan(ids, k=k, seed=4)
+
+
 class TestFeaturize:
     def test_feature_values_match_the_feature_modules(self, clean_segment):
         row = featurize_segment(clean_segment)
@@ -89,6 +125,47 @@ class TestFeaturize:
         rows_fwd = featurize_dataset(tiny_dataset)
         rows_rev = featurize_dataset(Dataset(segments=tuple(reversed(tiny_dataset.segments))))
         assert rows_fwd == rows_rev
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_segment():
+    return generate_dataset(GeneratorConfig(seed=3, n_participants=1)).segments[0]
+
+
+# every float column of the on-disk format: (segment field, position in the sample tuple)
+NUMERIC_COLUMNS = [("rr_intervals", 0), ("rr_intervals", 1), ("driving", 0), ("driving", 1), ("events", 0)]
+NUMERIC_COLUMNS += [(channel, i) for channel in ("pupil_left", "pupil_right") for i in range(3)]
+
+
+def _inject(seg, column, row, value, blink):
+    """`value` at one row of one column; with `blink`, a pupil row also gets confidence 0."""
+    field, position = column
+    samples = list(getattr(seg, field))
+    row %= len(samples)
+    if field == "events":
+        samples[row] = dataclasses.replace(samples[row], t_s=value)
+    else:
+        samples[row] = samples[row][:position] + (value,) + samples[row][position + 1:]
+        if blink and field.startswith("pupil") and position != 2:
+            samples[row] = samples[row][:2] + (0.0,)
+    return dataclasses.replace(seg, **{field: tuple(samples)})
+
+
+class TestNonFiniteInput:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(NUMERIC_COLUMNS), st.integers(0, 10**6),
+                              st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans()),
+                    min_size=1, max_size=3))
+    def test_rejected_or_finite_or_named_missing(self, injections):
+        seg = synthetic_segment()
+        for column, row, value, blink in injections:
+            seg = _inject(seg, column, row, value, blink)
+        if any(issue.is_error for issue in validate_segment(seg)):
+            return
+        features = featurize_segment(seg)
+        for name in FEATURE_NAMES:
+            value = features.value(name)
+            assert name in features.missing or (value is not None and math.isfinite(value)), name
 
 
 def small_feature_rows(seed=0, n_participants=8):
@@ -141,6 +218,49 @@ class TestNestedCv:
         plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=0)
         rep = run_nested_cv(rows, TaskKind.NBACK, "multi", plan)
         assert set(rep.cells) == {(m, s) for m in REPORT_ROWS for s in FEATURE_SUBSETS}
+
+
+def _reference_evaluate_fold(rows, fold, subsets, grids):
+    """`_evaluate_fold` before `select_and_fit`: the oracle for the shared
+    fit-and-select path."""
+    result = {}
+    train_rows = [r for r in rows if r.participant in set(fold.train)]
+    val_rows = [r for r in rows if r.participant in set(fold.validation)]
+    test_rows = [r for r in rows if r.participant in set(fold.test)]
+    if not test_rows:
+        raise ValueError("fold has no test rows for the requested task")
+    y_train, y_val, y_test = _labels(train_rows), _labels(val_rows), _labels(test_rows)
+    for subset_name in subsets:
+        subset = FEATURE_SUBSETS[subset_name]
+        scaler = fit_scaler(_matrix(train_rows, subset))
+        X_train = apply_scaler(scaler, _matrix(train_rows, subset))
+        X_val = apply_scaler(scaler, _matrix(val_rows, subset))
+        X_test = apply_scaler(scaler, _matrix(test_rows, subset))
+        candidates = grid_search(X_train, y_train, X_val, y_val, grids)
+        for kind in MODEL_KINDS:
+            best = next(c for c in candidates if c.kind == kind)
+            result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)
+        ensemble = greedy_ensemble(candidates, X_val, y_val)
+        result[("Ensemble", subset_name)] = accuracy(ensemble, X_test, y_test)
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def ten_participant_rows():
+    return tuple(small_feature_rows(seed=7, n_participants=10))
+
+
+class TestSelectAndFitOracle:
+    @pytest.mark.parametrize("task, scheme", [(TaskKind.NBACK, "multi"), (TaskKind.NBACK, "binary"),
+                                              (TaskKind.VISUAL_SEARCH, "multi")])
+    def test_reports_match_the_old_fold_body(self, task, scheme, monkeypatch):
+        rows = ten_participant_rows()
+        plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=7)
+        new = run_nested_cv(rows, task, scheme, plan)
+        monkeypatch.setattr(evaluate, "_evaluate_fold", _reference_evaluate_fold)
+        old = run_nested_cv(rows, task, scheme, plan)
+        for fmt in ("csv", "txt"):
+            assert render_report(new, fmt) == render_report(old, fmt)
 
 
 def dummy_report(scheme="multi"):

@@ -23,6 +23,7 @@ from loadsense.learn import (
     grid_search,
     model_from_json,
     model_to_json,
+    plurality_vote,
 )
 
 
@@ -426,6 +427,48 @@ class TestGreedyEnsemble:
     def test_no_candidates_rejected(self):
         with pytest.raises(ValueError):
             greedy_ensemble([], np.zeros((1, 1)), [0])
+
+
+def _reference_vote(preds, counts, classes):
+    """The float vote loop that `_predict_ensemble` and `greedy_ensemble` each
+    carried before `plurality_vote`: the oracle for the shared vote."""
+    votes = np.zeros((len(preds[0]), max(classes) + 1))
+    for pred, mult in zip(preds, counts):
+        if mult:
+            for c in classes:
+                votes[:, c] += mult * (pred == c)
+    return np.argmax(votes, axis=1)
+
+
+class TestPluralityVote:
+    def test_matches_the_old_vote_loop(self):
+        rng = np.random.default_rng(17)
+        n_tied_rows = 0
+        for _ in range(600):
+            n_classes = int(rng.integers(2, 5))
+            # labels drawn from a wider range, so some class indices have no voter
+            classes = tuple(sorted(rng.choice(n_classes + 2, size=n_classes, replace=False).tolist()))
+            n_members = int(rng.integers(1, 8))
+            n = int(rng.integers(1, 25))
+            preds = [rng.choice(classes, size=n) for _ in range(n_members)]
+            counts = rng.integers(0, 4, size=n_members)
+            counts[rng.integers(n_members)] += 1
+            got = plurality_vote(preds, counts.tolist(), max(classes) + 1)
+            np.testing.assert_array_equal(got, _reference_vote(preds, counts, classes))
+            votes = np.zeros((n, max(classes) + 1), dtype=int)
+            for pred, count in zip(preds, counts):
+                votes[np.arange(n), pred] += count
+            n_tied_rows += int(np.sum((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+        assert n_tied_rows > 500  # the comparison covers many ties
+
+    def test_ties_go_to_the_lowest_class_index(self):
+        preds = [np.asarray([2, 1, 0]), np.asarray([1, 2, 2])]
+        assert plurality_vote(preds, [1, 1], 3).tolist() == [1, 1, 0]
+
+    def test_multiplicity_counts_as_repeated_votes(self):
+        preds = [np.asarray([0, 1]), np.asarray([2, 2]), np.asarray([1, 0])]
+        assert plurality_vote(preds, [1, 1, 1], 3).tolist() == [0, 0]  # three-way ties
+        assert plurality_vote(preds, [1, 1, 2], 3).tolist() == [1, 0]
 
 
 class TestDeterminismAndScaling:
