@@ -75,11 +75,8 @@ def rmssd(rr: Sequence[float]) -> float:
 
 def compute_cardiac_features(seg: SessionSegment, policy: RrPolicy = RrPolicy()) -> CardiacFeatures | None:
     """All five ECG features for one segment, or None when the channel is unusable."""
-    raw = [rr_ms for _, rr_ms in seg.rr_intervals]
-    if not raw:
-        return None
     try:
-        kept = clean_rr(raw, policy)
+        kept = clean_rr(seg.rr_intervals[:, 1], policy)
     except ValueError:
         return None
     if len(kept) < 2:

@@ -12,6 +12,10 @@ A dataset on disk is a directory tree::
 
 All numerics are decimal with '.' separator, UTF-8, LF line endings.
 Floats are written with repr() so a write/load round trip is bit-exact.
+
+In memory each sample channel of a `SessionSegment` is one read-only
+float64 array with the CSV's columns (target_lane included); events stay a
+tuple of `TaskEvent`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 
 class DatasetError(Exception):
@@ -62,19 +68,53 @@ class TaskEvent:
     payload: str | None = None
 
 
-@dataclass(frozen=True)
+# sample channel -> (file, CSV header); the channel's array has the header's
+# columns.  Every column is a float except target_lane, an int on disk.
+CHANNEL_FILES = {
+    "rr_intervals": ("rr.csv", ["t_s", "rr_ms"]),
+    "pupil_left": ("pupil_left.csv", ["t_s", "diameter_mm", "confidence"]),
+    "pupil_right": ("pupil_right.csv", ["t_s", "diameter_mm", "confidence"]),
+    "driving": ("driving.csv", ["t_s", "lateral_position_m", "target_lane"]),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class SessionSegment:
-    """One participant x task x difficulty recording."""
+    """One participant x task x difficulty recording.
+
+    Each channel is a read-only float64 array with its file's columns (see
+    CHANNEL_FILES), converted once here from whatever rows are passed in.
+    Equality compares channels by shape and bytes, so it means bit-exact.
+    """
 
     participant_id: str
     task: TaskKind
     level: LoadLevel
-    rr_intervals: tuple[tuple[float, float], ...]  # (onset_s, rr_ms)
-    pupil_left: tuple[tuple[float, float, float], ...]  # (t_s, diameter_mm, confidence)
-    pupil_right: tuple[tuple[float, float, float], ...]
-    driving: tuple[tuple[float, float, int], ...]  # (t_s, lateral_position_m, target_lane)
+    rr_intervals: np.ndarray  # (onset_s, rr_ms)
+    pupil_left: np.ndarray  # (t_s, diameter_mm, confidence)
+    pupil_right: np.ndarray
+    driving: np.ndarray  # (t_s, lateral_position_m, target_lane)
     events: tuple[TaskEvent, ...]
     duration_s: float
+
+    def __post_init__(self):
+        for name, (_, header) in CHANNEL_FILES.items():
+            rows = getattr(self, name)
+            samples = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+            samples.flags.writeable = False
+            object.__setattr__(self, name, samples)
+
+    def __eq__(self, other):
+        if not isinstance(other, SessionSegment):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.name in CHANNEL_FILES:
+                if a.shape != b.shape or a.tobytes() != b.tobytes():
+                    return False
+            elif a != b:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -131,85 +171,76 @@ class Issue:
         return self.severity == "error"
 
 
+# A pupil sample below this confidence is a gap.  Above this fraction of
+# gap samples `validate_segment` warns and the LHIPA features go missing.
 PUPIL_GAP_CONFIDENCE = 0.6
-PUPIL_GAP_WARN_FRACTION = 0.25
+PUPIL_MAX_GAP_FRACTION = 0.25
 MIN_RR_COUNT_WARN = 30
 
 
-def _check_increasing(times: Iterable[float], name: str, issues: list[Issue]) -> None:
-    prev = None
-    for t in times:
-        if prev is not None and t <= prev:
-            issues.append(Issue("error", f"{name}: timestamps not strictly increasing at t={t!r}"))
-            return
-        prev = t
-
-
-def pupil_gap_fraction(samples: Iterable[tuple[float, float, float]]) -> float:
+def pupil_gap_fraction(samples: np.ndarray) -> float:
     """Fraction of pupil samples whose confidence falls below the gap threshold."""
-    samples = list(samples)
-    if not samples:
+    if len(samples) == 0:
         return 1.0
-    gaps = sum(1 for _, _, conf in samples if conf < PUPIL_GAP_CONFIDENCE)
-    return gaps / len(samples)
+    return np.count_nonzero(samples[:, 2] < PUPIL_GAP_CONFIDENCE) / len(samples)
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float | None:
+    """The first of `values` where `bad` holds, as a Python float; None if none does."""
+    where = np.flatnonzero(bad)
+    return float(values[where[0]]) if len(where) else None
 
 
 def validate_segment(seg: SessionSegment) -> list[Issue]:
     """Check all SessionSegment invariants; returns [] iff the segment is clean.
 
     Issues are data, not failures: callers decide whether errors are fatal.
+    Each check reports the first offending sample of a channel.
     """
     issues: list[Issue] = []
 
     if not 60.0 <= seg.duration_s <= 300.0:
         issues.append(Issue("error", f"duration_s {seg.duration_s!r} outside [60, 300]"))
 
-    _check_increasing((t for t, _ in seg.rr_intervals), "rr", issues)
-    for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
-        _check_increasing((t for t, _, _ in samples), name, issues)
-    _check_increasing((t for t, _, _ in seg.driving), "driving", issues)
+    pupils = (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right))
+    channels = (("rr", seg.rr_intervals), *pupils, ("driving", seg.driving))
+    for name, samples in channels:
+        t = samples[:, 0]
+        bad = _first(t[1:], t[1:] <= t[:-1])
+        if bad is not None:
+            issues.append(Issue("error", f"{name}: timestamps not strictly increasing at t={bad!r}"))
 
-    for _, rr_ms in seg.rr_intervals:
-        if not 0 < rr_ms < math.inf:
-            problem = "non-positive" if rr_ms <= 0 else "non-finite"
-            issues.append(Issue("error", f"{problem} RR interval {rr_ms!r}"))
-            break
+    rr_ms = seg.rr_intervals[:, 1]
+    bad = _first(rr_ms, ~((0 < rr_ms) & (rr_ms < math.inf)))
+    if bad is not None:
+        problem = "non-positive" if bad <= 0 else "non-finite"
+        issues.append(Issue("error", f"{problem} RR interval {bad!r}"))
 
-    # a diameter at confidence 0 is a blink: any value, NaN included, is accepted
-    for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
-        for _, diameter, conf in samples:
-            if conf > 0 and not 0 < diameter < math.inf:
-                problem = "non-positive" if diameter <= 0 else "non-finite"
-                issues.append(Issue("error", f"{name}: {problem} diameter at confidence > 0"))
-                break
-        for t, _, conf in samples:
-            if not 0.0 <= conf <= 1.0:
-                issues.append(Issue("error", f"{name}: confidence {conf!r} outside [0, 1]"))
-                break
+    for name, samples in pupils:
+        diameter, conf = samples[:, 1], samples[:, 2]
+        # a diameter at confidence 0 is a blink: any value, NaN included, is accepted
+        bad = _first(diameter, (conf > 0) & ~((0 < diameter) & (diameter < math.inf)))
+        if bad is not None:
+            problem = "non-positive" if bad <= 0 else "non-finite"
+            issues.append(Issue("error", f"{name}: {problem} diameter at confidence > 0"))
+        bad = _first(conf, ~((0.0 <= conf) & (conf <= 1.0)))
+        if bad is not None:
+            issues.append(Issue("error", f"{name}: confidence {bad!r} outside [0, 1]"))
 
-    for _, lateral, _ in seg.driving:
-        if not math.isfinite(lateral):
-            issues.append(Issue("error", f"driving: non-finite lateral position {lateral!r}"))
-            break
+    lateral = seg.driving[:, 1]
+    bad = _first(lateral, ~np.isfinite(lateral))
+    if bad is not None:
+        issues.append(Issue("error", f"driving: non-finite lateral position {bad!r}"))
 
-    def _t_in_range(times: Iterable[float], name: str) -> None:
-        for t in times:
-            if not 0.0 <= t <= seg.duration_s:
-                issues.append(Issue("error", f"{name}: sample time {t!r} outside [0, duration]"))
-                return
+    event_times = np.array([e.t_s for e in seg.events], dtype=np.float64)
+    times = [(name, samples[:, 0]) for name, samples in channels] + [("events", event_times)]
+    for name, t in times:
+        bad = _first(t, ~((0.0 <= t) & (t <= seg.duration_s)))
+        if bad is not None:
+            issues.append(Issue("error", f"{name}: sample time {bad!r} outside [0, duration]"))
 
-    _t_in_range((t for t, _ in seg.rr_intervals), "rr")
-    _t_in_range((t for t, _, _ in seg.pupil_left), "pupil_left")
-    _t_in_range((t for t, _, _ in seg.pupil_right), "pupil_right")
-    _t_in_range((t for t, _, _ in seg.driving), "driving")
-    _t_in_range((e.t_s for e in seg.events), "events")
-
-    prev_t = None
-    for e in seg.events:
-        if prev_t is not None and e.t_s < prev_t:
-            issues.append(Issue("error", "events: timestamps decrease"))
-            break
-        prev_t = e.t_s
+    if np.any(event_times[1:] < event_times[:-1]):
+        issues.append(Issue("error", "events: timestamps decrease"))
     seen_stimulus = False
     for e in seg.events:
         if e.kind in STIMULUS_KINDS:
@@ -218,12 +249,12 @@ def validate_segment(seg: SessionSegment) -> list[Issue]:
             issues.append(Issue("error", "events: Response before any stimulus marker"))
             break
 
-    for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
-        if samples:
+    for name, samples in pupils:
+        if len(samples):
             frac = pupil_gap_fraction(samples)
-            if frac > PUPIL_GAP_WARN_FRACTION:
+            if frac > PUPIL_MAX_GAP_FRACTION:
                 issues.append(
-                    Issue("warning", f"{name}: pupil gap fraction {frac:.2f} > {PUPIL_GAP_WARN_FRACTION}")
+                    Issue("warning", f"{name}: pupil gap fraction {frac:.2f} > {PUPIL_MAX_GAP_FRACTION}")
                 )
 
     if len(seg.rr_intervals) < MIN_RR_COUNT_WARN:
@@ -254,10 +285,10 @@ def validate_dataset(dataset: Dataset) -> list[Issue]:
 # On-disk format
 
 
-def _read_csv(path: Path, header: list[str], types: list) -> list[tuple]:
+def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
+    """The cells of every line below the header, as strings."""
     if not path.exists():
         raise DatasetError(f"{path}: missing file")
-    rows: list[tuple] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -266,14 +297,40 @@ def _read_csv(path: Path, header: list[str], types: list) -> list[tuple]:
             raise DatasetError(f"{path}: empty file") from None
         if first != header:
             raise DatasetError(f"{path}: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DatasetError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append(tuple(t(v) if v != "" else None for t, v in zip(types, row)))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
-    return rows
+        return list(reader)
+
+
+def _check_rows(path: Path, rows: list[list[str]], types: list) -> None:
+    """Raise a DatasetError naming path:line at the first row with the wrong
+    number of fields or with a cell that its column's type rejects."""
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(types):
+            raise DatasetError(f"{path}:{lineno}: expected {len(types)} fields, got {len(row)}")
+        try:
+            for type_, cell in zip(types, row):
+                type_(cell)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+
+
+def _read_csv(path: Path, header: list[str]) -> np.ndarray:
+    """A channel file as an (n, len(header)) float64 array.
+
+    Each cell must parse as float() does, and a target_lane cell as int()
+    does, so an empty cell is an error."""
+    rows = _read_rows(path, header)
+    try:
+        samples = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+        if "target_lane" in header:
+            lane = header.index("target_lane")
+            for row in rows:
+                int(row[lane])
+    except ValueError:
+        # numpy parses each str cell as float() does, so _check_rows raises
+        # for every file that gets here
+        _check_rows(path, rows, [int if name == "target_lane" else float for name in header])
+        raise
+    return samples
 
 
 def _load_segment_dir(seg_dir: Path) -> SessionSegment:
@@ -301,29 +358,23 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
         raise DatasetError(f"{manifest_path}: field 'level' has unknown value {level_name!r}")
     level = _LEVEL_NAMES[level_name]
 
-    rr = _read_csv(seg_dir / "rr.csv", ["t_s", "rr_ms"], [float, float])
-    pupil_l = _read_csv(seg_dir / "pupil_left.csv", ["t_s", "diameter_mm", "confidence"], [float, float, float])
-    pupil_r = _read_csv(seg_dir / "pupil_right.csv", ["t_s", "diameter_mm", "confidence"], [float, float, float])
-    driving = _read_csv(
-        seg_dir / "driving.csv", ["t_s", "lateral_position_m", "target_lane"], [float, float, int]
-    )
-    raw_events = _read_csv(seg_dir / "events.csv", ["t_s", "kind", "payload"], [float, str, str])
+    channels = {name: _read_csv(seg_dir / file, header) for name, (file, header) in CHANNEL_FILES.items()}
+    events_path = seg_dir / "events.csv"
+    raw_events = _read_rows(events_path, ["t_s", "kind", "payload"])
+    _check_rows(events_path, raw_events, [float, str, str])
     events = []
     for t_s, kind, payload in raw_events:
         try:
             ek = EventKind(kind)
         except ValueError:
-            raise DatasetError(f"{seg_dir / 'events.csv'}: unknown event kind {kind!r}") from None
-        events.append(TaskEvent(t_s, ek, payload or None))
+            raise DatasetError(f"{events_path}: unknown event kind {kind!r}") from None
+        events.append(TaskEvent(float(t_s), ek, payload or None))
 
     return SessionSegment(
         participant_id=participant,
         task=task,
         level=level,
-        rr_intervals=tuple(rr),
-        pupil_left=tuple(pupil_l),
-        pupil_right=tuple(pupil_r),
-        driving=tuple(driving),
+        **channels,
         events=tuple(events),
         duration_s=duration_s,
     )
@@ -369,19 +420,12 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
     return Dataset(segments=tuple(segments))
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            # str() of a Python float is its repr(), which reads back bit-exactly
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
@@ -397,10 +441,11 @@ def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
             "duration_s": seg.duration_s,
         }
         (seg_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-        _write_csv(seg_dir / "rr.csv", ["t_s", "rr_ms"], seg.rr_intervals)
-        _write_csv(seg_dir / "pupil_left.csv", ["t_s", "diameter_mm", "confidence"], seg.pupil_left)
-        _write_csv(seg_dir / "pupil_right.csv", ["t_s", "diameter_mm", "confidence"], seg.pupil_right)
-        _write_csv(seg_dir / "driving.csv", ["t_s", "lateral_position_m", "target_lane"], seg.driving)
+        for name, (file, header) in CHANNEL_FILES.items():
+            rows = getattr(seg, name).tolist()
+            if name == "driving":
+                rows = ((t, lateral, int(lane)) for t, lateral, lane in rows)
+            _write_csv(seg_dir / file, header, rows)
         _write_csv(
             seg_dir / "events.csv",
             ["t_s", "kind", "payload"],

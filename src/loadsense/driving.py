@@ -70,23 +70,22 @@ class DeviationSeries:
 
 
 def deviation_series(
-    trace: Sequence[tuple[float, float]],
+    trace: np.ndarray,
     path: IdealPath,
     speed_mps: float = DEFAULT_SPEED_MPS,
     rate_hz: float = DEVIATION_RATE_HZ,
 ) -> DeviationSeries:
     """|actual - ideal| lateral distance resampled to 33 Hz.
 
-    The trace is (t_s, lateral_position_m); longitudinal position is
-    speed_mps * (t - t0).  The output grid is half-open: samples at
-    t0 + k/rate for k = 0 .. floor(span * rate) - 1, so a 10 s trace
-    yields exactly 330 values.
+    The trace is an array whose first two columns are (t_s,
+    lateral_position_m); longitudinal position is speed_mps * (t - t0).
+    The output grid is half-open: samples at t0 + k/rate for
+    k = 0 .. floor(span * rate) - 1, so a 10 s trace yields exactly 330 values.
     """
     if len(trace) == 0:
         raise ValueError("deviation_series: empty trace")
-    arr = np.asarray([(t, lat) for t, lat, *_ in trace], dtype=float)
-    t = arr[:, 0]
-    lat = arr[:, 1]
+    t = trace[:, 0]
+    lat = trace[:, 1]
     span = t[-1] - t[0]
     if span < 1.0:
         raise ValueError("deviation_series: trace must cover at least 1 s")

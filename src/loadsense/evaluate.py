@@ -90,16 +90,11 @@ class FeatureRow:
     features: FeatureVector
 
 
-def _change_points_from_trace(driving: Sequence[tuple[float, float, int]], speed_mps: float):
+def _change_points_from_trace(driving: np.ndarray, speed_mps: float):
     """Recover lane-change points (s, from, to) from the target_lane column."""
-    points = []
-    t0 = driving[0][0]
-    prev_lane = driving[0][2]
-    for t, _, lane in driving:
-        if lane != prev_lane:
-            points.append((speed_mps * (t - t0), prev_lane, lane))
-            prev_lane = lane
-    return points
+    t, lane = driving[:, 0], driving[:, 2]
+    changes = np.flatnonzero(np.diff(lane)) + 1
+    return [(speed_mps * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
 
 
 def featurize_segment(seg: SessionSegment, speed_mps: float = DEFAULT_SPEED_MPS) -> FeatureVector:
@@ -123,14 +118,11 @@ def featurize_segment(seg: SessionSegment, speed_mps: float = DEFAULT_SPEED_MPS)
         else:
             values[name] = value
 
-    if len(seg.driving) >= 2 and seg.driving[-1][0] - seg.driving[0][0] >= 1.0:
-        try:
-            path = build_ideal_path(_change_points_from_trace(seg.driving, speed_mps))
-            dev = deviation_series(seg.driving, path, speed_mps=speed_mps)
-            values["drive_avg_dev"] = deviation_stats(dev)[0]
-        except ValueError:
-            missing.add("drive_avg_dev")
-    else:
+    try:  # deviation_series rejects a trace shorter than 1 s
+        path = build_ideal_path(_change_points_from_trace(seg.driving, speed_mps))
+        dev = deviation_series(seg.driving, path, speed_mps=speed_mps)
+        values["drive_avg_dev"] = deviation_stats(dev)[0]
+    except ValueError:
         missing.add("drive_avg_dev")
 
     return FeatureVector(**values, missing=frozenset(missing))

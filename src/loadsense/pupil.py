@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import PUPIL_GAP_CONFIDENCE, PUPIL_MAX_GAP_FRACTION, pupil_gap_fraction
+
 log = logging.getLogger(__name__)
 
 # Decomposition low-pass filter: 32-tap orthonormal least-asymmetric filter
@@ -91,34 +93,30 @@ class UniformPupilSignal:
         return len(self.samples) / self.rate_hz
 
 
-GAP_CONFIDENCE = 0.6
-MAX_INTERP_GAP_S = 0.5
-MAX_GAP_FRACTION = 0.25
 MIN_USABLE_S = 2.0
 
 
-def preprocess_pupil(
-    raw: Sequence[tuple[float, float, float]], target_rate_hz: float = 120.0
-) -> UniformPupilSignal | None:
-    """Gap-fill and resample raw (t, diameter, confidence) samples to a uniform grid.
+def preprocess_pupil(raw: np.ndarray, target_rate_hz: float = 120.0) -> UniformPupilSignal | None:
+    """Gap-fill and resample an (n, 3) array of (t, diameter, confidence)
+    samples to a uniform grid.
 
-    Samples below the confidence threshold are gaps.  Leading/trailing gaps
-    are trimmed; interior gaps are bridged by linear interpolation (gaps
-    longer than 500 ms are still bridged but count toward the gap budget).
-    Returns None when more than 25% of the segment is gap or fewer than 2 s
-    of usable signal remain.
+    Samples below the confidence threshold are gaps, and every gap sample
+    counts the same toward the gap budget, however long its gap.
+    Leading/trailing gaps are trimmed; interior gaps of any length are
+    bridged by linear interpolation.  Returns None when more than 25% of the
+    samples are gaps (the rule `validate_segment` warns on) or fewer than
+    2 s of usable signal remain.
     """
     if len(raw) == 0:
         raise ValueError("preprocess_pupil: empty input")
-    arr = np.asarray(raw, dtype=float)
-    good = arr[:, 2] >= GAP_CONFIDENCE
+    good = raw[:, 2] >= PUPIL_GAP_CONFIDENCE
     if good.sum() < 2:
         return None
-    if (~good).mean() > MAX_GAP_FRACTION:
+    if pupil_gap_fraction(raw) > PUPIL_MAX_GAP_FRACTION:
         return None
 
-    t = arr[good, 0]
-    d = arr[good, 1]
+    t = raw[good, 0]
+    d = raw[good, 1]
     t0, t1 = t[0], t[-1]
     if t1 - t0 < MIN_USABLE_S:
         return None
@@ -227,12 +225,8 @@ def lhipa(signal: UniformPupilSignal, spec: WaveletSpec = SYM16) -> float:
     return count / signal.duration_s
 
 
-def compute_lhipa(
-    raw: Sequence[tuple[float, float, float]],
-    target_rate_hz: float = 120.0,
-    spec: WaveletSpec = SYM16,
-) -> float | None:
-    """Preprocess one eye's raw samples and compute the index; None when unusable."""
+def compute_lhipa(raw: np.ndarray, target_rate_hz: float = 120.0, spec: WaveletSpec = SYM16) -> float | None:
+    """Preprocess one eye's (n, 3) sample array and compute the index; None when unusable."""
     if len(raw) == 0:
         return None
     signal = preprocess_pupil(raw, target_rate_hz)

@@ -127,7 +127,7 @@ def _synth_rr(rng, duration_s: float, hr_bpm: float, rmssd_ms: float):
     rr = mean_rr + jitter
     onsets = np.cumsum(rr) / 1000.0
     keep = onsets <= duration_s
-    return tuple(zip(onsets[keep].tolist(), rr[keep].tolist()))
+    return np.column_stack((onsets[keep], rr[keep]))
 
 
 def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float, lhipa_target: float):
@@ -148,7 +148,7 @@ def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float
         start = rng.integers(0, max(1, n - 60))
         width = int(rng.uniform(0.1, 0.4) * config.pupil_rate_hz)
         confidence[start : start + width] = 0.0
-    return tuple(zip(t.tolist(), signal.tolist(), confidence.tolist()))
+    return np.column_stack((t, signal, confidence))
 
 
 def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m: float):
@@ -172,7 +172,7 @@ def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m
     lanes[:] = change_points[0][1] if change_points else 1
     for cp_s, _, to_lane in change_points:
         lanes[s_grid >= cp_s] = to_lane
-    return tuple(zip(t.tolist(), lateral.tolist(), lanes.tolist()))
+    return np.column_stack((t, lateral, lanes))
 
 
 def _synth_events(rng, config: GeneratorConfig, task: TaskKind, targets: LevelTargets):

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_segment
 from loadsense.cli import run_cli
-from loadsense.core import TaskKind, load_dataset
+from loadsense.core import Dataset, TaskKind, load_dataset, write_dataset
 from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
 from loadsense.learn import apply_scaler, fit_scaler, greedy_ensemble, grid_search, model_to_json
 
@@ -72,6 +73,17 @@ class TestUsageErrors:
         code = run_cli(["validate", "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_empty_numeric_cell_is_data_error(self, tmp_path, capsys):
+        write_dataset(Dataset(segments=(make_segment(),)), tmp_path)
+        rr = tmp_path / "p000" / "nback_easy" / "rr.csv"
+        lines = rr.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ","
+        rr.write_text("\n".join(lines) + "\n")
+        assert run_cli(["validate", "--dataset", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "rr.csv:3: could not convert string to float: ''" in err
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestFeaturesAndStats:

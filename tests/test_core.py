@@ -1,18 +1,33 @@
 """Session model, validation, and on-disk round-trip tests."""
 
+import csv
 import dataclasses
+import functools
 import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Iterable
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_driving, make_pupil, make_segment
+from conftest import make_driving, make_events, make_pupil, make_segment
 from loadsense.core import (
+    CHANNEL_FILES,
+    MIN_RR_COUNT_WARN,
+    PUPIL_GAP_CONFIDENCE,
+    PUPIL_MAX_GAP_FRACTION,
+    STIMULUS_KINDS,
     Dataset,
     DatasetError,
     EventKind,
+    Issue,
     LoadLevel,
     TaskEvent,
     TaskKind,
+    _read_csv,
     load_dataset,
     pupil_gap_fraction,
     validate_dataset,
@@ -83,10 +98,10 @@ class TestValidateSegment:
 
 class TestPupilGapFraction:
     def test_all_confident_is_zero(self):
-        assert pupil_gap_fraction([(0.0, 4.0, 1.0), (0.1, 4.0, 0.9)]) == 0.0
+        assert pupil_gap_fraction(np.array([(0.0, 4.0, 1.0), (0.1, 4.0, 0.9)])) == 0.0
 
     def test_counts_low_confidence_samples(self):
-        samples = [(0.0, 4.0, 1.0), (0.1, 4.0, 0.0), (0.2, 4.0, 0.5), (0.3, 4.0, 0.8)]
+        samples = np.array([(0.0, 4.0, 1.0), (0.1, 4.0, 0.0), (0.2, 4.0, 0.5), (0.3, 4.0, 0.8)])
         assert pupil_gap_fraction(samples) == pytest.approx(0.5)
 
 
@@ -177,3 +192,357 @@ class TestEnums:
 
     def test_task_values_match_directory_names(self):
         assert {t.value for t in TaskKind} == {"nback", "visual_search"}
+
+
+class TestChannelArrays:
+    def test_rows_become_read_only_float64_arrays(self):
+        rr = [[1.0, 800.0], [1.8, 810.0]]
+        seg = make_segment(rr_intervals=rr, driving=((0.0, 3.5, 1),), pupil_left=())
+        assert seg.rr_intervals.dtype == np.float64 and seg.rr_intervals.tolist() == rr
+        assert seg.driving.tolist() == [[0.0, 3.5, 1.0]]
+        assert seg.pupil_left.shape == (0, 3)
+        with pytest.raises(ValueError):
+            seg.rr_intervals[0, 1] = 0.0
+
+    def test_the_callers_array_is_copied(self):
+        rr = np.array([[1.0, 800.0], [1.8, 810.0]])
+        seg = make_segment(rr_intervals=rr)
+        rr[0, 1] = 0.0
+        assert seg.rr_intervals[0, 1] == 800.0
+
+    def test_rows_of_the_wrong_width_are_rejected(self):
+        with pytest.raises(ValueError):
+            make_segment(rr_intervals=((1.0, 800.0, 3.0),))
+
+    def test_equality_compares_bits(self, clean_segment):
+        def with_rr0(value):
+            rr = np.array(clean_segment.rr_intervals)
+            rr[0, 1] = value
+            return dataclasses.replace(clean_segment, rr_intervals=rr)
+
+        assert with_rr0(math.nan) == with_rr0(math.nan)
+        assert with_rr0(0.0) != with_rr0(-0.0)
+        assert dataclasses.replace(clean_segment, rr_intervals=clean_segment.rr_intervals[:-1]) != clean_segment
+
+
+def _blank_cell(path: Path, line: int, column: int) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = ""
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+# every numeric column of the on-disk format: (file, column index)
+NUMERIC_CELLS = [("rr.csv", 0), ("rr.csv", 1), ("driving.csv", 0), ("driving.csv", 1), ("driving.csv", 2),
+                 ("events.csv", 0)] + [(f"pupil_{eye}.csv", i) for eye in ("left", "right") for i in range(3)]
+
+
+class TestEmptyNumericCell:
+    @pytest.mark.parametrize("name, column", NUMERIC_CELLS)
+    def test_strict_mode_names_file_and_line(self, clean_segment, tmp_path, name, column):
+        write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
+        _blank_cell(tmp_path / "p000" / "nback_easy" / name, 3, column)
+        with pytest.raises(DatasetError, match=rf"{name}:3: "):
+            load_dataset(tmp_path, strict=True)
+
+    def test_lenient_mode_skips_and_reports_once(self, tiny_dataset, tmp_path):
+        write_dataset(tiny_dataset, tmp_path)
+        _blank_cell(tmp_path / "p001" / "visual_search_hard" / "rr.csv", 5, 1)
+        messages = []
+        ds = load_dataset(tmp_path, report=messages.append)
+        assert len(ds.segments) == len(tiny_dataset.segments) - 1
+        assert len(messages) == 1 and "rr.csv:5: could not convert string to float: ''" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# The tuple-based reader and validator that the array code replaced, kept
+# as oracles.  `_tuple_validate_segment` takes a segment whose channels are
+# tuples of row tuples (see `_tuple_form`).
+
+
+def _tuple_read_csv(path: Path, header: list[str], types: list) -> list[tuple]:
+    if not path.exists():
+        raise DatasetError(f"{path}: missing file")
+    rows: list[tuple] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        if first != header:
+            raise DatasetError(f"{path}: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DatasetError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows.append(tuple(t(v) if v != "" else None for t, v in zip(types, row)))
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
+def _tuple_check_increasing(times: Iterable[float], name: str, issues: list[Issue]) -> None:
+    prev = None
+    for t in times:
+        if prev is not None and t <= prev:
+            issues.append(Issue("error", f"{name}: timestamps not strictly increasing at t={t!r}"))
+            return
+        prev = t
+
+
+def _tuple_gap_fraction(samples) -> float:
+    samples = list(samples)
+    if not samples:
+        return 1.0
+    gaps = sum(1 for _, _, conf in samples if conf < PUPIL_GAP_CONFIDENCE)
+    return gaps / len(samples)
+
+
+def _tuple_validate_segment(seg) -> list[Issue]:
+    issues: list[Issue] = []
+
+    if not 60.0 <= seg.duration_s <= 300.0:
+        issues.append(Issue("error", f"duration_s {seg.duration_s!r} outside [60, 300]"))
+
+    _tuple_check_increasing((t for t, _ in seg.rr_intervals), "rr", issues)
+    for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
+        _tuple_check_increasing((t for t, _, _ in samples), name, issues)
+    _tuple_check_increasing((t for t, _, _ in seg.driving), "driving", issues)
+
+    for _, rr_ms in seg.rr_intervals:
+        if not 0 < rr_ms < math.inf:
+            problem = "non-positive" if rr_ms <= 0 else "non-finite"
+            issues.append(Issue("error", f"{problem} RR interval {rr_ms!r}"))
+            break
+
+    for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
+        for _, diameter, conf in samples:
+            if conf > 0 and not 0 < diameter < math.inf:
+                problem = "non-positive" if diameter <= 0 else "non-finite"
+                issues.append(Issue("error", f"{name}: {problem} diameter at confidence > 0"))
+                break
+        for t, _, conf in samples:
+            if not 0.0 <= conf <= 1.0:
+                issues.append(Issue("error", f"{name}: confidence {conf!r} outside [0, 1]"))
+                break
+
+    for _, lateral, _ in seg.driving:
+        if not math.isfinite(lateral):
+            issues.append(Issue("error", f"driving: non-finite lateral position {lateral!r}"))
+            break
+
+    def _t_in_range(times: Iterable[float], name: str) -> None:
+        for t in times:
+            if not 0.0 <= t <= seg.duration_s:
+                issues.append(Issue("error", f"{name}: sample time {t!r} outside [0, duration]"))
+                return
+
+    _t_in_range((t for t, _ in seg.rr_intervals), "rr")
+    _t_in_range((t for t, _, _ in seg.pupil_left), "pupil_left")
+    _t_in_range((t for t, _, _ in seg.pupil_right), "pupil_right")
+    _t_in_range((t for t, _, _ in seg.driving), "driving")
+    _t_in_range((e.t_s for e in seg.events), "events")
+
+    prev_t = None
+    for e in seg.events:
+        if prev_t is not None and e.t_s < prev_t:
+            issues.append(Issue("error", "events: timestamps decrease"))
+            break
+        prev_t = e.t_s
+    seen_stimulus = False
+    for e in seg.events:
+        if e.kind in STIMULUS_KINDS:
+            seen_stimulus = True
+        elif e.kind is EventKind.RESPONSE and not seen_stimulus:
+            issues.append(Issue("error", "events: Response before any stimulus marker"))
+            break
+
+    for name, samples in (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right)):
+        if samples:
+            frac = _tuple_gap_fraction(samples)
+            if frac > PUPIL_MAX_GAP_FRACTION:
+                issues.append(
+                    Issue("warning", f"{name}: pupil gap fraction {frac:.2f} > {PUPIL_MAX_GAP_FRACTION}")
+                )
+
+    if len(seg.rr_intervals) < MIN_RR_COUNT_WARN:
+        issues.append(Issue("warning", f"fewer than {MIN_RR_COUNT_WARN} RR intervals"))
+
+    return issues
+
+
+def _tuple_form(seg) -> SimpleNamespace:
+    """`seg` with each channel as the tuple of row tuples the old code held."""
+    fields = {f.name: getattr(seg, f.name) for f in dataclasses.fields(seg)}
+    fields.update({name: tuple(map(tuple, fields[name].tolist())) for name in CHANNEL_FILES})
+    return SimpleNamespace(**fields)
+
+
+@functools.lru_cache(maxsize=None)
+def small_segment():
+    """A clean 60 s segment with short channels, so the tuple oracles stay fast."""
+    return make_segment(
+        duration_s=60.0,
+        rr_intervals=tuple((0.8 * (i + 1), 800.0) for i in range(MIN_RR_COUNT_WARN + 2)),
+        pupil_left=make_pupil(2.0, rate_hz=10.0),
+        pupil_right=make_pupil(2.0, rate_hz=10.0, diameter=4.5),
+        driving=make_driving(2.0, rate_hz=10.0),
+        events=make_events(),
+    )
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0, 59.5, 60.0, 61.0, 1e6]
+
+
+class TestValidateMatchesTupleOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((*CHANNEL_FILES, "events")),
+                st.sampled_from(["set", "empty"]),
+                st.integers(0, 40),
+                st.integers(0, 2),
+                st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-5.0, 70.0)),
+            ),
+            max_size=4,
+        ),
+        st.sampled_from([60.0, 59.0, 300.5, math.nan]),
+    )
+    def test_same_issues_as_the_tuple_validator(self, edits, duration_s):
+        seg = small_segment()
+        if duration_s != 60.0:
+            seg = dataclasses.replace(seg, duration_s=duration_s)
+        for field, op, row, column, value in edits:
+            samples = list(getattr(seg, field))
+            if op == "empty" or not samples:
+                samples = []
+            elif field == "events":
+                row %= len(samples)
+                samples[row] = dataclasses.replace(samples[row], t_s=value)
+            else:
+                samples = [list(r) for r in getattr(seg, field).tolist()]
+                samples[row % len(samples)][column % len(CHANNEL_FILES[field][1])] = value
+            seg = dataclasses.replace(seg, **{field: tuple(samples) if field == "events" else samples})
+        assert validate_segment(seg) == _tuple_validate_segment(_tuple_form(seg))
+
+
+# (file, segment field, header, the tuple reader's column types): both widths, and the int column
+READ_SPECS = [
+    ("rr.csv", "rr_intervals", ["t_s", "rr_ms"], [float, float]),
+    ("pupil_left.csv", "pupil_left", ["t_s", "diameter_mm", "confidence"], [float, float, float]),
+    ("driving.csv", "driving", ["t_s", "lateral_position_m", "target_lane"], [float, float, int]),
+]
+TOKENS = ["", " ", "abc", " 1.5 ", "1_000", "1__0", "nan", "-inf", "Infinity", "1e", "0x10", "1.0", "2", "-3",
+          "+0", "-0.0", "1e400", "\t7", "١"]
+
+
+def _edit_lines(lines: list[str], edits) -> list[str]:
+    """Apply (op, row, column, token) edits to the data lines below the header."""
+    header, data = lines[0], list(lines[1:])
+    for op, row, column, token in edits:
+        if op == "header":
+            header = header.replace("t_s", token)
+            continue
+        if op == "blank":
+            data.insert(row % (len(data) + 1), "")
+            continue
+        if not data:
+            continue
+        row %= len(data)
+        cells = data[row].split(",")
+        column %= len(cells)
+        if op == "cell":
+            cells[column] = token
+        elif op == "pad":
+            cells[column] = f" {cells[column]}\t"
+        elif op == "drop":
+            del cells[column]
+        elif op == "extra":
+            cells.append(token)
+        data[row] = ",".join(cells)
+        if op == "swap" and row + 1 < len(data):
+            data[row], data[row + 1] = data[row + 1], data[row]
+        elif op == "dup":
+            data.insert(row, data[row])
+    return [header, *data]
+
+
+def _expected_read(path: Path, header: list[str], types: list, lines: list[str]):
+    """The tuple reader's outcome, except that an empty cell is an error:
+    ("rows", rows) or ("error", message)."""
+    text = "\n".join(lines) + "\n"
+    rows = list(csv.reader(lines[1:]))
+    first_empty = next((i for i, row in enumerate(rows) if len(row) == len(header) and "" in row), None)
+    if first_empty is not None:
+        path.write_text("\n".join(lines[: first_empty + 1]) + "\n", encoding="utf-8")
+        try:
+            _tuple_read_csv(path, header, types)
+        except DatasetError as exc:
+            return "error", str(exc)  # an earlier line fails first
+        finally:
+            path.write_text(text, encoding="utf-8")
+        for type_, cell in zip(types, rows[first_empty]):
+            try:
+                type_(cell)
+            except ValueError as exc:
+                return "error", f"{path}:{first_empty + 2}: {exc}"
+    try:
+        return "rows", _tuple_read_csv(path, header, types)
+    except DatasetError as exc:
+        return "error", str(exc)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(READ_SPECS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["cell", "pad", "blank", "drop", "extra", "swap", "dup", "header"]),
+                st.integers(0, 40),
+                st.integers(0, 2),
+                st.sampled_from(TOKENS),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_tuple_oracle_then_load(self, spec, edits):
+        """The reader returns the tuple reader's rows bit for bit or raises its
+        DatasetError; an empty cell is a DatasetError at its line.  Loading the
+        edited tree gives that array, or a DatasetError whose message is the
+        reader's or a validate_segment error; a non-increasing time is always
+        one.  No other exception escapes."""
+        name, field, header, types = spec
+        base = small_segment()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_dataset(Dataset(segments=(base,)), root)
+            seg_dir = root / "p000" / "nback_easy"
+            path = seg_dir / name
+            lines = _edit_lines(path.read_text(encoding="utf-8").splitlines(), edits)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+            kind, want = _expected_read(path, header, types, lines)
+            try:
+                got = _read_csv(path, header)
+            except DatasetError as exc:
+                assert (kind, want) == ("error", str(exc))
+                return
+            assert kind == "rows"
+            want = np.array(want, dtype=np.float64).reshape(len(want), len(header))
+            assert got.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+            times = want[:, 0].tolist()
+            increasing = all(b > a for a, b in zip(times, times[1:]))
+            try:
+                loaded = load_dataset(root, strict=True).segments[0]
+            except DatasetError as exc:
+                seg = dataclasses.replace(base, **{field: want})
+                errors = [i.message for i in validate_segment(seg) if i.is_error]
+                assert errors and str(exc) == f"{seg_dir}: {errors[0]}"
+                return
+            assert increasing
+            assert loaded == dataclasses.replace(base, **{field: want})

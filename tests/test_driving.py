@@ -54,35 +54,35 @@ class TestIdealPath:
 class TestDeviationSeries:
     def test_trace_on_path_gives_zeros(self):
         path = build_ideal_path([])
-        trace = [(t, 0.0) for t in np.arange(0, 10, 1 / 33)]
+        trace = np.array([(t, 0.0) for t in np.arange(0, 10, 1 / 33)])
         dev = deviation_series(trace, path)
         assert np.allclose(dev.values, 0.0)
 
     def test_constant_offset_gives_constant_deviation(self):
         path = build_ideal_path([])
-        trace = [(t, 0.5) for t in np.arange(0, 10, 1 / 33)]
+        trace = np.array([(t, 0.5) for t in np.arange(0, 10, 1 / 33)])
         dev = deviation_series(trace, path)
         assert np.allclose(dev.values, 0.5)
 
     def test_ten_second_trace_gives_exactly_330_samples(self):
         path = build_ideal_path([])
-        trace = [(0.0, 0.0), (10.0, 0.0)]
+        trace = np.array([(0.0, 0.0), (10.0, 0.0)])
         assert len(deviation_series(trace, path).values) == 330
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError, match="at least 1 s"):
-            deviation_series([(0.0, 0.0), (0.5, 0.0)], build_ideal_path([]))
+            deviation_series(np.array([(0.0, 0.0), (0.5, 0.0)]), build_ideal_path([]))
 
     def test_deviation_is_absolute(self):
         path = build_ideal_path([])
-        trace = [(t, -0.7) for t in np.arange(0, 5, 0.1)]
+        trace = np.array([(t, -0.7) for t in np.arange(0, 5, 0.1)])
         dev = deviation_series(trace, path)
         assert np.allclose(dev.values, 0.7)
 
 
 class TestDeviationStats:
     def test_all_zeros(self):
-        dev = deviation_series([(0.0, 0.0), (10.0, 0.0)], build_ideal_path([]))
+        dev = deviation_series(np.array([(0.0, 0.0), (10.0, 0.0)]), build_ideal_path([]))
         assert deviation_stats(dev) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_two_values_hand_computed(self):

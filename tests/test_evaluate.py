@@ -110,6 +110,15 @@ class TestFeaturize:
         assert {"lhipa_left", "lhipa_right"} <= row.missing
         assert row.value("lhipa_left") is None
 
+    @pytest.mark.parametrize("gap_tenths, flagged", [(3, True), (2, False)])
+    def test_validate_and_lhipa_share_one_gap_rule(self, clean_segment, gap_tenths, flagged):
+        pupil = np.array(clean_segment.pupil_left)
+        pupil[np.arange(len(pupil)) % 10 < gap_tenths, 2] = 0.0
+        seg = dataclasses.replace(clean_segment, pupil_left=pupil)
+        warned = any(i.message.startswith("pupil_left: pupil gap fraction") for i in validate_segment(seg))
+        assert warned == flagged
+        assert ("lhipa_left" in featurize_segment(seg).missing) == flagged
+
     def test_missing_rr_channel_marks_heart_features(self, clean_segment):
         seg = dataclasses.replace(clean_segment, rr_intervals=())
         row = featurize_segment(seg)
@@ -145,7 +154,9 @@ def _inject(seg, column, row, value, blink):
     if field == "events":
         samples[row] = dataclasses.replace(samples[row], t_s=value)
     else:
-        samples[row] = samples[row][:position] + (value,) + samples[row][position + 1:]
+        # a tuple: with an array row `+` would add elementwise
+        sample = tuple(samples[row])
+        samples[row] = sample[:position] + (value,) + sample[position + 1:]
         if blink and field.startswith("pupil") and position != 2:
             samples[row] = samples[row][:2] + (0.0,)
     return dataclasses.replace(seg, **{field: tuple(samples)})

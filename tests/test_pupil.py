@@ -170,7 +170,7 @@ class TestLhipa:
 class TestPreprocess:
     def test_uniform_gapless_input_is_identity(self):
         t = np.arange(1200) / 120.0
-        raw = [(float(tt), 4.0 + 0.1 * math.sin(tt), 1.0) for tt in t]
+        raw = np.array([(float(tt), 4.0 + 0.1 * math.sin(tt), 1.0) for tt in t])
         signal = preprocess_pupil(raw)
         assert signal is not None
         assert signal.rate_hz == 120.0
@@ -178,18 +178,29 @@ class TestPreprocess:
 
     def test_gap_in_constant_signal_interpolates_to_constant(self):
         t = np.arange(1200) / 120.0
-        raw = [(float(tt), 4.0, 0.0 if 0.5 < tt < 0.7 else 1.0) for tt in t]
+        raw = np.array([(float(tt), 4.0, 0.0 if 0.5 < tt < 0.7 else 1.0) for tt in t])
         signal = preprocess_pupil(raw)
         assert signal is not None
         assert np.allclose(signal.samples, 4.0, atol=1e-12)
 
     def test_forty_percent_gap_is_missing(self):
         t = np.arange(1200) / 120.0
-        raw = [(float(tt), 4.0, 0.0 if i % 5 < 2 else 1.0) for i, tt in enumerate(t)]
+        raw = np.array([(float(tt), 4.0, 0.0 if i % 5 < 2 else 1.0) for i, tt in enumerate(t)])
         assert preprocess_pupil(raw) is None
 
+    def test_every_gap_sample_counts_the_same(self):
+        # 72 gap samples in 10 s either way: one 0.6 s gap, or six 0.1 s gaps
+        one_gap = np.column_stack((np.arange(1200) / 120.0, np.full(1200, 4.0), np.ones(1200)))
+        six_gaps = one_gap.copy()
+        one_gap[240:312, 2] = 0.0
+        for k in range(1, 7):
+            six_gaps[120 * k : 120 * k + 12, 2] = 0.0
+        for raw in (one_gap, six_gaps):
+            signal = preprocess_pupil(raw)
+            assert signal is not None and len(signal.samples) == 1200
+
     def test_under_two_seconds_is_missing(self):
-        raw = [(i / 120.0, 4.0, 1.0) for i in range(120)]
+        raw = np.array([(i / 120.0, 4.0, 1.0) for i in range(120)])
         assert preprocess_pupil(raw) is None
 
     def test_empty_input_raises(self):
@@ -200,10 +211,10 @@ class TestPreprocess:
 class TestComputeLhipa:
     def test_matches_direct_pipeline_on_clean_input(self):
         signal = _fixture_signal(11, 120.0, 120.0)
-        raw = [(float(i / 120.0), float(v), 1.0) for i, v in enumerate(signal.samples)]
+        raw = np.array([(float(i / 120.0), float(v), 1.0) for i, v in enumerate(signal.samples)])
         assert compute_lhipa(raw) == pytest.approx(lhipa(signal), abs=1e-12)
 
     def test_empty_and_gappy_inputs_give_none(self):
         assert compute_lhipa([]) is None
-        raw = [(i / 120.0, 4.0, 0.0) for i in range(14400)]
+        raw = np.array([(i / 120.0, 4.0, 0.0) for i in range(14400)])
         assert compute_lhipa(raw) is None
