@@ -11,19 +11,10 @@ import numpy as np
 from .core import SessionSegment
 
 
-@dataclass(frozen=True)
-class RrPolicy:
-    """Artifact-rejection bounds for raw RR intervals."""
-
-    min_rr_ms: float = 300.0
-    max_rr_ms: float = 2000.0
-    max_successive_change: float = 0.25
-
-    def __post_init__(self):
-        if not 0 < self.min_rr_ms < self.max_rr_ms:
-            raise ValueError("require 0 < min_rr_ms < max_rr_ms")
-        if not 0 < self.max_successive_change < 1:
-            raise ValueError("max_successive_change must be in (0, 1)")
+# artifact-rejection bounds for raw RR intervals
+MIN_RR_MS = 300.0
+MAX_RR_MS = 2000.0
+MAX_SUCCESSIVE_CHANGE = 0.25
 
 
 @dataclass(frozen=True)
@@ -33,11 +24,11 @@ class CardiacFeatures:
     hr_max: float
     hr_std: float
     rmssd: float
-    n_beats_used: int
 
 
-def clean_rr(rr: Sequence[float], policy: RrPolicy = RrPolicy()) -> list[float]:
-    """Drop out-of-range beats and jumps larger than the policy fraction.
+def clean_rr(rr: Sequence[float]) -> list[float]:
+    """Drop beats outside [MIN_RR_MS, MAX_RR_MS] and jumps larger than
+    MAX_SUCCESSIVE_CHANGE of the previous beat.
 
     The change check compares each candidate against the last *surviving*
     beat, so a single ectopic does not reject its successors.
@@ -46,9 +37,9 @@ def clean_rr(rr: Sequence[float], policy: RrPolicy = RrPolicy()) -> list[float]:
         raise ValueError("clean_rr: empty RR sequence")
     kept: list[float] = []
     for value in rr:
-        if not policy.min_rr_ms <= value <= policy.max_rr_ms:
+        if not MIN_RR_MS <= value <= MAX_RR_MS:
             continue
-        if kept and abs(value - kept[-1]) / kept[-1] > policy.max_successive_change:
+        if kept and abs(value - kept[-1]) / kept[-1] > MAX_SUCCESSIVE_CHANGE:
             continue
         kept.append(value)
     if not kept:
@@ -73,13 +64,13 @@ def rmssd(rr: Sequence[float]) -> float:
     return math.sqrt(float(np.mean(diffs**2)))
 
 
-def compute_cardiac_features(seg: SessionSegment, policy: RrPolicy = RrPolicy()) -> CardiacFeatures | None:
+def compute_cardiac_features(seg: SessionSegment) -> CardiacFeatures | None:
     """All five ECG features for one segment, or None when the channel is unusable."""
     try:
-        kept = clean_rr(seg.rr_intervals[:, 1], policy)
+        kept = clean_rr(seg.rr_intervals[:, 1])
     except ValueError:
         return None
     if len(kept) < 2:
         return None
     mean, lo, hi, std = hr_stats(kept)
-    return CardiacFeatures(mean, lo, hi, std, rmssd(kept), len(kept))
+    return CardiacFeatures(mean, lo, hi, std, rmssd(kept))

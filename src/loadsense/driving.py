@@ -10,8 +10,8 @@ import numpy as np
 
 from .core import EventKind, STIMULUS_KINDS, TaskEvent
 
-DEFAULT_LANE_WIDTH_M = 3.5
-DEFAULT_TRANSITION_M = 36.0
+LANE_WIDTH_M = 3.5
+TRANSITION_M = 36.0
 DEVIATION_RATE_HZ = 33.0
 DEFAULT_SPEED_MPS = 60.0 / 3.6  # undisturbed lane-change speed, 60 km/h
 # stimulus presentation (2 s) plus inter-stimulus pause (1 s)
@@ -22,23 +22,21 @@ STIMULUS_WINDOW_S = 3.0
 class IdealPath:
     """Piecewise-linear lane-center reference: longitudinal s -> lateral offset.
 
-    Lane k's center sits at k * lane_width.  Each lane change is a linear
-    ramp of exactly transition_length meters starting at the change point.
+    Lane k's center sits at k * LANE_WIDTH_M.  Each lane change is a linear
+    ramp of exactly TRANSITION_M meters starting at the change point.
     """
 
     change_points: tuple[tuple[float, int, int], ...]  # (s, from_lane, to_lane)
-    lane_width: float = DEFAULT_LANE_WIDTH_M
-    transition_length: float = DEFAULT_TRANSITION_M
 
     def _knots(self) -> tuple[np.ndarray, np.ndarray]:
         start_lane = self.change_points[0][1] if self.change_points else 0
         xs = [0.0]
-        ys = [start_lane * self.lane_width]
+        ys = [start_lane * LANE_WIDTH_M]
         for s, from_lane, to_lane in self.change_points:
             xs.append(s)
-            ys.append(from_lane * self.lane_width)
-            xs.append(s + self.transition_length)
-            ys.append(to_lane * self.lane_width)
+            ys.append(from_lane * LANE_WIDTH_M)
+            xs.append(s + TRANSITION_M)
+            ys.append(to_lane * LANE_WIDTH_M)
         return np.asarray(xs), np.asarray(ys)
 
     def offset(self, s) -> np.ndarray:
@@ -47,59 +45,46 @@ class IdealPath:
         return np.interp(np.asarray(s, dtype=float), xs, ys)
 
 
-def build_ideal_path(
-    change_points: Sequence[tuple[float, int, int]],
-    lane_width: float = DEFAULT_LANE_WIDTH_M,
-    transition_length: float = DEFAULT_TRANSITION_M,
-) -> IdealPath:
+def build_ideal_path(change_points: Sequence[tuple[float, int, int]]) -> IdealPath:
     points = tuple(change_points)
     for (s0, _, prev_to), (s1, from_lane, _) in zip(points, points[1:]):
         if s1 <= s0:
             raise ValueError("change points must be strictly ordered")
-        if s1 - s0 <= transition_length:
+        if s1 - s0 <= TRANSITION_M:
             raise ValueError("overlapping transitions")
         if from_lane != prev_to:
             raise ValueError("discontinuous lane sequence in change points")
-    return IdealPath(change_points=points, lane_width=lane_width, transition_length=transition_length)
+    return IdealPath(change_points=points)
 
 
-@dataclass(frozen=True)
-class DeviationSeries:
-    rate_hz: float
-    values: np.ndarray
-
-
-def deviation_series(
-    trace: np.ndarray,
-    path: IdealPath,
-    speed_mps: float = DEFAULT_SPEED_MPS,
-    rate_hz: float = DEVIATION_RATE_HZ,
-) -> DeviationSeries:
+def deviation_series(trace: np.ndarray, path: IdealPath) -> np.ndarray:
     """|actual - ideal| lateral distance resampled to 33 Hz.
 
     The trace is an array whose first two columns are (t_s,
-    lateral_position_m); longitudinal position is speed_mps * (t - t0).
-    The output grid is half-open: samples at t0 + k/rate for
-    k = 0 .. floor(span * rate) - 1, so a 10 s trace yields exactly 330 values.
+    lateral_position_m); longitudinal position is DEFAULT_SPEED_MPS * (t - t0).
+    The output grid is half-open: samples at t0 + k/33 for
+    k = 0 .. floor(span * 33) - 1, so a 10 s trace yields exactly 330 values.
+    An empty trace, a non-finite sample time or a span under 1 s raises
+    ValueError.
     """
     if len(trace) == 0:
         raise ValueError("deviation_series: empty trace")
     t = trace[:, 0]
     lat = trace[:, 1]
+    if not np.isfinite(t).all():
+        raise ValueError("deviation_series: non-finite sample time")
     span = t[-1] - t[0]
     if span < 1.0:
         raise ValueError("deviation_series: trace must cover at least 1 s")
-    n = int(math.floor(span * rate_hz))
-    grid = t[0] + np.arange(n) / rate_hz
+    n = int(math.floor(span * DEVIATION_RATE_HZ))
+    grid = t[0] + np.arange(n) / DEVIATION_RATE_HZ
     lat_u = np.interp(grid, t, lat)
-    s = speed_mps * (grid - t[0])
-    values = np.abs(lat_u - path.offset(s))
-    return DeviationSeries(rate_hz=rate_hz, values=values)
+    s = DEFAULT_SPEED_MPS * (grid - t[0])
+    return np.abs(lat_u - path.offset(s))
 
 
-def deviation_stats(dev: DeviationSeries) -> tuple[float, float, float, float, float]:
+def deviation_stats(v: np.ndarray) -> tuple[float, float, float, float, float]:
     """(mean, median, min, max, sample std) of the deviation values."""
-    v = dev.values
     if len(v) == 0:
         raise ValueError("deviation_stats: empty series")
     std = float(np.std(v, ddof=1)) if len(v) > 1 else 0.0

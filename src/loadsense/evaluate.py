@@ -17,7 +17,7 @@ from . import FORMAT_VERSION
 from .cardiac import compute_cardiac_features
 from .core import Dataset, DatasetError, FEATURE_NAMES, FeatureVector, LoadLevel, SessionSegment, TaskKind
 from .driving import build_ideal_path, deviation_series, deviation_stats, DEFAULT_SPEED_MPS
-from .learn import DEFAULT_GRIDS, MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy, apply_scaler
+from .learn import MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy
 from .learn import fit_scaler, grid_search, greedy_ensemble
 from .pupil import compute_lhipa
 
@@ -90,14 +90,14 @@ class FeatureRow:
     features: FeatureVector
 
 
-def _change_points_from_trace(driving: np.ndarray, speed_mps: float):
+def _change_points_from_trace(driving: np.ndarray):
     """Recover lane-change points (s, from, to) from the target_lane column."""
     t, lane = driving[:, 0], driving[:, 2]
     changes = np.flatnonzero(np.diff(lane)) + 1
-    return [(speed_mps * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
+    return [(DEFAULT_SPEED_MPS * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
 
 
-def featurize_segment(seg: SessionSegment, speed_mps: float = DEFAULT_SPEED_MPS) -> FeatureVector:
+def featurize_segment(seg: SessionSegment) -> FeatureVector:
     missing: set[str] = set()
     values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
 
@@ -118,9 +118,9 @@ def featurize_segment(seg: SessionSegment, speed_mps: float = DEFAULT_SPEED_MPS)
         else:
             values[name] = value
 
-    try:  # deviation_series rejects a trace shorter than 1 s
-        path = build_ideal_path(_change_points_from_trace(seg.driving, speed_mps))
-        dev = deviation_series(seg.driving, path, speed_mps=speed_mps)
+    try:  # deviation_series rejects a trace shorter than 1 s or with a non-finite time
+        path = build_ideal_path(_change_points_from_trace(seg.driving))
+        dev = deviation_series(seg.driving, path)
         values["drive_avg_dev"] = deviation_stats(dev)[0]
     except ValueError:
         missing.add("drive_avg_dev")
@@ -128,10 +128,10 @@ def featurize_segment(seg: SessionSegment, speed_mps: float = DEFAULT_SPEED_MPS)
     return FeatureVector(**values, missing=frozenset(missing))
 
 
-def featurize_dataset(dataset: Dataset, speed_mps: float = DEFAULT_SPEED_MPS) -> list[FeatureRow]:
+def featurize_dataset(dataset: Dataset) -> list[FeatureRow]:
     """One feature row per segment, ordered by (participant, task, level)."""
     rows = [
-        FeatureRow(seg.participant_id, seg.task, seg.level, featurize_segment(seg, speed_mps))
+        FeatureRow(seg.participant_id, seg.task, seg.level, featurize_segment(seg))
         for seg in dataset.segments
     ]
     rows.sort(key=lambda r: (r.participant, r.task.value, int(r.level)))
@@ -176,21 +176,21 @@ def _rows_of(rows: Sequence[FeatureRow], participants: Sequence[str]) -> list[Fe
     return [r for r in rows if r.participant in members]
 
 
-def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureRow], subset: tuple[str, ...],
-                   grids: dict[str, list[dict]]) -> tuple[Scaler, list[Candidate], TrainedModel]:
+def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureRow],
+                   subset: tuple[str, ...]) -> tuple[Scaler, list[Candidate], TrainedModel]:
     """Fit the scaler on the training rows, grid-search every model kind and
     select the greedy ensemble on the validation rows.  Returns (scaler,
     candidates, ensemble); the candidates and the ensemble take scaled input."""
     X_train = _matrix(train_rows, subset)
     scaler = fit_scaler(X_train)
-    X_train = apply_scaler(scaler, X_train)
-    X_val = apply_scaler(scaler, _matrix(val_rows, subset))
+    X_train = scaler.transform(X_train)
+    X_val = scaler.transform(_matrix(val_rows, subset))
     y_val = _labels(val_rows)
-    candidates = grid_search(X_train, _labels(train_rows), X_val, y_val, grids)
+    candidates = grid_search(X_train, _labels(train_rows), X_val, y_val)
     return scaler, candidates, greedy_ensemble(candidates, X_val, y_val)
 
 
-def _evaluate_fold(rows, fold, subsets, grids):
+def _evaluate_fold(rows, fold, subsets):
     """Accuracy of each (model row, subset) on one outer fold's test rows."""
     result: dict[tuple[str, str], float] = {}
     train_rows, val_rows = _rows_of(rows, fold.train), _rows_of(rows, fold.validation)
@@ -200,8 +200,8 @@ def _evaluate_fold(rows, fold, subsets, grids):
     y_test = _labels(test_rows)
     for subset_name in subsets:
         subset = FEATURE_SUBSETS[subset_name]
-        scaler, candidates, ensemble = select_and_fit(train_rows, val_rows, subset, grids)
-        X_test = apply_scaler(scaler, _matrix(test_rows, subset))
+        scaler, candidates, ensemble = select_and_fit(train_rows, val_rows, subset)
+        X_test = scaler.transform(_matrix(test_rows, subset))
         for kind in MODEL_KINDS:
             best = next(c for c in candidates if c.kind == kind)
             result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)
@@ -219,7 +219,7 @@ def train(rows: Sequence[FeatureRow], task: TaskKind, scheme: str, subset: str, 
         raise DatasetError("need at least 3 participants to train")
     fold = _fold(shuffled, ())
     train_rows, val_rows = _rows_of(task_rows, fold.train), _rows_of(task_rows, fold.validation)
-    scaler, _, ensemble = select_and_fit(train_rows, val_rows, FEATURE_SUBSETS[subset], DEFAULT_GRIDS)
+    scaler, _, ensemble = select_and_fit(train_rows, val_rows, FEATURE_SUBSETS[subset])
     return replace(ensemble, scaler=scaler)
 
 
@@ -229,7 +229,6 @@ def run_nested_cv(
     scheme: str,
     plan: SplitPlan,
     subsets: Sequence[str] | None = None,
-    grids: dict | None = None,
     threads: int = 1,
 ) -> EvaluationReport:
     """Nested cross-validation over the split plan; cells are mean% +- std%
@@ -242,14 +241,13 @@ def run_nested_cv(
     for name in subsets:
         if name not in FEATURE_SUBSETS:
             raise ValueError(f"unknown feature subset {name!r}")
-    grids = grids if grids is not None else DEFAULT_GRIDS
     task_rows = _rows_for_task(rows, task, scheme)
     present = {r.participant for r in task_rows}
     planned = {p for fold in plan.folds for p in fold.test}
     if not present <= planned:
         raise ValueError("split plan does not cover all participants present in the features")
 
-    fold_results = [_evaluate_fold(task_rows, fold, subsets, grids) for fold in plan.folds]
+    fold_results = [_evaluate_fold(task_rows, fold, subsets) for fold in plan.folds]
 
     cells: dict[tuple[str, str], tuple[float, float]] = {}
     for kind in REPORT_ROWS:
@@ -309,17 +307,3 @@ def render_report(report: EvaluationReport, fmt: str = "txt") -> str:
             lines.append(kind.ljust(12) + "".join(cells))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report_csv(text: str) -> dict[tuple[str, str], tuple[float, float]]:
-    """Round-trip reader for the CSV rendering."""
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")[1:]
-    cells = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        kind = parts[0]
-        for subset, cell in zip(header, parts[1:]):
-            mean, std = cell.split("+-")
-            cells[(kind, subset)] = (float(mean), float(std))
-    return cells

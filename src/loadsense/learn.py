@@ -17,6 +17,7 @@ import numpy as np
 
 MODEL_KINDS = ("LDA", "KNN", "AdaBoost")
 MODEL_FORMAT_VERSION = 1
+ENSEMBLE_MAX_SIZE = 10
 
 DEFAULT_GRIDS = {
     "LDA": [{"shrinkage": s} for s in (0.01, 0.1, 0.3, 0.5)],
@@ -50,10 +51,6 @@ def fit_scaler(X: np.ndarray) -> Scaler:
     return Scaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:
-    return scaler.transform(X)
-
-
 @dataclass(frozen=True)
 class TrainedModel:
     kind: str  # LDA | KNN | AdaBoost | Ensemble
@@ -72,7 +69,7 @@ class TrainedModel:
 # LDA
 
 
-def fit_lda(X: np.ndarray, y: Sequence[int], shrinkage: float, scaler: Scaler | None = None) -> TrainedModel:
+def fit_lda(X: np.ndarray, y: Sequence[int], shrinkage: float) -> TrainedModel:
     """Gaussian LDA with pooled covariance shrunk toward (trace/p) * I."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -106,7 +103,7 @@ def fit_lda(X: np.ndarray, y: Sequence[int], shrinkage: float, scaler: Scaler | 
         "cov_inv": cov_inv,
         "log_priors": np.log(np.asarray(priors)),
     }
-    return TrainedModel(kind="LDA", classes=classes, params=params, scaler=scaler)
+    return TrainedModel(kind="LDA", classes=classes, params=params)
 
 
 def _predict_lda(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -125,7 +122,7 @@ def _predict_lda(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 # KNN
 
 
-def fit_knn(X: np.ndarray, y: Sequence[int], k: int, scaler: Scaler | None = None) -> TrainedModel:
+def fit_knn(X: np.ndarray, y: Sequence[int], k: int) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if k < 1:
@@ -134,7 +131,7 @@ def fit_knn(X: np.ndarray, y: Sequence[int], k: int, scaler: Scaler | None = Non
         raise ValueError("k exceeds the training set size")
     classes = tuple(sorted(set(y.tolist())))
     params = {"train_X": X.copy(), "train_y": y.copy(), "k": k}
-    return TrainedModel(kind="KNN", classes=classes, params=params, scaler=scaler)
+    return TrainedModel(kind="KNN", classes=classes, params=params)
 
 
 def _predict_knn(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -244,7 +241,7 @@ def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray, presort: _Preso
         k += 1
 
 
-def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int, scaler: Scaler | None = None) -> TrainedModel:
+def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int) -> TrainedModel:
     """Discrete AdaBoost on decision stumps; multi-class via one-vs-rest margins.
 
     The rounds are deterministic, so the model fitted with fewer stumps is a
@@ -274,7 +271,7 @@ def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int, scaler: Scaler 
             stumps.append((j, thr, polarity, alpha))
         machines.append(stumps)
     params = {"machines": machines}
-    return TrainedModel(kind="AdaBoost", classes=classes, params=params, scaler=scaler)
+    return TrainedModel(kind="AdaBoost", classes=classes, params=params)
 
 
 def _adaboost_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -393,9 +390,9 @@ def greedy_ensemble(
     candidates: Sequence[Candidate],
     X_val: np.ndarray,
     y_val: Sequence[int],
-    max_size: int = 10,
 ) -> TrainedModel:
-    """Forward selection with replacement under plurality vote.
+    """Forward selection with replacement under plurality vote, up to
+    ENSEMBLE_MAX_SIZE votes.
 
     Starts from the best single candidate and only accepts additions that
     strictly improve validation accuracy, so the ensemble's validation
@@ -417,7 +414,7 @@ def greedy_ensemble(
         return float(np.mean(plurality_vote(preds, cnts, max(classes) + 1) == y_val))
 
     best_acc = vote_accuracy(counts)
-    while sum(counts) < max_size:
+    while sum(counts) < ENSEMBLE_MAX_SIZE:
         best_gain = None
         for i in range(len(candidates)):
             counts[i] += 1

@@ -63,9 +63,9 @@ _SYM16_DEC_LO = (
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    name: str
+    """Orthonormal filter bank given by its decomposition low-pass; periodized extension only."""
+
     dec_lo: tuple[float, ...]
-    mode: str = "periodization"
 
     @property
     def dec_hi(self) -> tuple[float, ...]:
@@ -79,12 +79,11 @@ class WaveletSpec:
         return len(self.dec_lo)
 
 
-SYM16 = WaveletSpec(name="sym16", dec_lo=_SYM16_DEC_LO)
+SYM16 = WaveletSpec(dec_lo=_SYM16_DEC_LO)
 
 
 @dataclass(frozen=True)
 class UniformPupilSignal:
-    start_s: float
     rate_hz: float
     samples: np.ndarray
 
@@ -94,21 +93,24 @@ class UniformPupilSignal:
 
 
 MIN_USABLE_S = 2.0
+RESAMPLE_RATE_HZ = 120.0
 
 
-def preprocess_pupil(raw: np.ndarray, target_rate_hz: float = 120.0) -> UniformPupilSignal | None:
+def preprocess_pupil(raw: np.ndarray) -> UniformPupilSignal | None:
     """Gap-fill and resample an (n, 3) array of (t, diameter, confidence)
-    samples to a uniform grid.
+    samples to a uniform 120 Hz grid.
 
     Samples below the confidence threshold are gaps, and every gap sample
     counts the same toward the gap budget, however long its gap.
     Leading/trailing gaps are trimmed; interior gaps of any length are
     bridged by linear interpolation.  Returns None when more than 25% of the
-    samples are gaps (the rule `validate_segment` warns on) or fewer than
-    2 s of usable signal remain.
+    samples are gaps (the rule `validate_segment` warns on), fewer than
+    2 s of usable signal remain, or any sample time is not finite.
     """
     if len(raw) == 0:
         raise ValueError("preprocess_pupil: empty input")
+    if not np.isfinite(raw[:, 0]).all():
+        return None
     good = raw[:, 2] >= PUPIL_GAP_CONFIDENCE
     if good.sum() < 2:
         return None
@@ -121,10 +123,10 @@ def preprocess_pupil(raw: np.ndarray, target_rate_hz: float = 120.0) -> UniformP
     if t1 - t0 < MIN_USABLE_S:
         return None
 
-    n = int(math.floor((t1 - t0) * target_rate_hz)) + 1
-    grid = t0 + np.arange(n) / target_rate_hz
+    n = int(math.floor((t1 - t0) * RESAMPLE_RATE_HZ)) + 1
+    grid = t0 + np.arange(n) / RESAMPLE_RATE_HZ
     samples = np.interp(grid, t, d)
-    return UniformPupilSignal(start_s=float(t0), rate_hz=float(target_rate_hz), samples=samples)
+    return UniformPupilSignal(rate_hz=RESAMPLE_RATE_HZ, samples=samples)
 
 
 def _dwt_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -145,31 +147,22 @@ def _dwt_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
     return conv[L : L + n : 2].copy()
 
 
-def dwt_detail(signal: Sequence[float], level: int, spec: WaveletSpec = SYM16) -> np.ndarray:
+def dwt_detail(signal: Sequence[float], level: int) -> np.ndarray:
     """Detail coefficients at `level`: level-1 low-pass cascades then one high-pass."""
     if level < 1:
         raise ValueError("level must be >= 1")
     x = np.asarray(signal, dtype=float)
     if len(x) < 2**level:
         raise ValueError(f"signal of length {len(x)} too short for level {level}")
-    lo = np.asarray(spec.dec_lo)
-    hi = np.asarray(spec.dec_hi)
+    lo = np.asarray(SYM16.dec_lo)
+    hi = np.asarray(SYM16.dec_hi)
     for _ in range(level - 1):
         x = _dwt_step(x, lo)
     return _dwt_step(x, hi)
 
 
-def dwt_approx(signal: Sequence[float], level: int, spec: WaveletSpec = SYM16) -> np.ndarray:
-    """Approximation coefficients at `level` (low-pass cascade)."""
-    x = np.asarray(signal, dtype=float)
-    lo = np.asarray(spec.dec_lo)
-    for _ in range(level):
-        x = _dwt_step(x, lo)
-    return x
-
-
-def max_decomposition_level(n: int, spec: WaveletSpec = SYM16) -> int:
-    return int(math.floor(math.log2(n / (spec.filter_len - 1))))
+def max_decomposition_level(n: int) -> int:
+    return int(math.floor(math.log2(n / (SYM16.filter_len - 1))))
 
 
 def modulus_maxima(x: Sequence[float]) -> np.ndarray:
@@ -185,7 +178,7 @@ def modulus_maxima(x: Sequence[float]) -> np.ndarray:
     return out
 
 
-def lhipa(signal: UniformPupilSignal, spec: WaveletSpec = SYM16) -> float:
+def lhipa(signal: UniformPupilSignal) -> float:
     """Low/high pupillary activity index, in events per second.
 
     Pipeline: detail bands at levels 1 (high) and maxlevel//2 (low), each
@@ -196,13 +189,13 @@ def lhipa(signal: UniformPupilSignal, spec: WaveletSpec = SYM16) -> float:
     """
     x = np.asarray(signal.samples, dtype=float)
     n = len(x)
-    maxlevel = max_decomposition_level(n, spec)
+    maxlevel = max_decomposition_level(n)
     if maxlevel < 2:
         raise ValueError("signal too short for the two-band decomposition")
     hif, lof = 1, maxlevel // 2
 
-    cd_h = dwt_detail(x, hif, spec) / math.sqrt(2.0**hif)
-    cd_l = dwt_detail(x, lof, spec) / math.sqrt(2.0**lof)
+    cd_h = dwt_detail(x, hif) / math.sqrt(2.0**hif)
+    cd_l = dwt_detail(x, lof) / math.sqrt(2.0**lof)
 
     stride = 2 ** (lof - hif)
     ratio = np.zeros(len(cd_l))
@@ -225,14 +218,14 @@ def lhipa(signal: UniformPupilSignal, spec: WaveletSpec = SYM16) -> float:
     return count / signal.duration_s
 
 
-def compute_lhipa(raw: np.ndarray, target_rate_hz: float = 120.0, spec: WaveletSpec = SYM16) -> float | None:
+def compute_lhipa(raw: np.ndarray) -> float | None:
     """Preprocess one eye's (n, 3) sample array and compute the index; None when unusable."""
     if len(raw) == 0:
         return None
-    signal = preprocess_pupil(raw, target_rate_hz)
+    signal = preprocess_pupil(raw)
     if signal is None:
         return None
     try:
-        return lhipa(signal, spec)
+        return lhipa(signal)
     except ValueError:
         return None

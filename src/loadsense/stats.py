@@ -116,11 +116,6 @@ def student_t_sf_two_tailed(t: float, df: float) -> float:
     return betainc_reg(df / 2.0, 0.5, x)
 
 
-def student_t_cdf(t: float, df: float) -> float:
-    p = student_t_sf_two_tailed(t, df) / 2.0
-    return 1.0 - p if t >= 0 else p
-
-
 # ---------------------------------------------------------------------------
 # Tests and estimators
 
@@ -194,9 +189,8 @@ def cronbach_alpha(items: ConditionMatrix | np.ndarray) -> TestResult:
 
 def reliability_screen(
     matrices: Mapping[str, ConditionMatrix | np.ndarray],
-    threshold: float = RELIABILITY_THRESHOLD,
 ) -> tuple[dict[str, float], set[str], set[str]]:
-    """Retain dimensions whose alpha meets the threshold.
+    """Retain dimensions whose alpha meets RELIABILITY_THRESHOLD.
 
     Returns (alphas, retained, excluded).  Excluded dimensions are skipped
     by downstream hypothesis tests; classification still uses all features.
@@ -208,7 +202,7 @@ def reliability_screen(
         result = cronbach_alpha(matrix)
         alpha = result.statistic
         alphas[name] = alpha
-        if not result.degenerate and alpha >= threshold:
+        if not result.degenerate and alpha >= RELIABILITY_THRESHOLD:
             retained.add(name)
         else:
             excluded.add(name)

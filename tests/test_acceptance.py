@@ -26,7 +26,7 @@ from loadsense.evaluate import (
     run_nested_cv,
 )
 from loadsense.learn import Candidate, accuracy, fit_knn, greedy_ensemble
-from loadsense.pupil import SYM16, UniformPupilSignal, dwt_approx, dwt_detail, lhipa
+from loadsense.pupil import SYM16, UniformPupilSignal, _dwt_step, dwt_detail, lhipa
 from loadsense.stats import cronbach_alpha, paired_t, pearson, reliability_screen
 from loadsense.synth import GeneratorConfig, generate_dataset, generate_null_dataset
 
@@ -106,7 +106,7 @@ def _fixture_signal(seed: int, rate_hz: float, duration_s: float) -> UniformPupi
         phase = rng.uniform(0.0, 2.0 * math.pi)
         signal = signal + amp * np.sin(2.0 * math.pi * freq * t + phase)
     signal = signal + rng.normal(0.0, 0.02, size=n)
-    return UniformPupilSignal(start_s=0.0, rate_hz=rate_hz, samples=signal)
+    return UniformPupilSignal(rate_hz=rate_hz, samples=signal)
 
 
 def test_criterion_2_lhipa_fidelity():
@@ -115,14 +115,14 @@ def test_criterion_2_lhipa_fidelity():
     assert len(rows) == 50
     for row in rows:
         signal = _fixture_signal(int(row["seed"]), float(row["rate_hz"]), float(row["duration_s"]))
-        assert lhipa(signal, SYM16) == pytest.approx(float(row["expected_lhipa"]), abs=1e-6)
+        assert lhipa(signal) == pytest.approx(float(row["expected_lhipa"]), abs=1e-6)
 
-    constant = UniformPupilSignal(start_s=0.0, rate_hz=120.0, samples=np.full(14400, 4.0))
+    constant = UniformPupilSignal(rate_hz=120.0, samples=np.full(14400, 4.0))
     assert lhipa(constant) == 0.0
 
     for n in (1024, 4096, 14400):
         x = np.random.default_rng(n).normal(size=n)
-        energy = float(np.sum(dwt_approx(x, 1) ** 2) + np.sum(dwt_detail(x, 1) ** 2))
+        energy = float(np.sum(_dwt_step(x, np.asarray(SYM16.dec_lo)) ** 2) + np.sum(dwt_detail(x, 1) ** 2))
         assert energy == pytest.approx(float(np.sum(x**2)), rel=1e-6)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_segment
-from loadsense.cardiac import RrPolicy, clean_rr, compute_cardiac_features, hr_stats, rmssd
+from loadsense.cardiac import MAX_RR_MS, MIN_RR_MS, clean_rr, compute_cardiac_features, hr_stats, rmssd
 
 rr_lists = st.lists(st.floats(min_value=400.0, max_value=1500.0), min_size=2, max_size=200)
 
@@ -32,17 +32,10 @@ class TestCleanRr:
         with pytest.raises(ValueError):
             clean_rr([])
 
-    def test_policy_bounds_validated(self):
-        with pytest.raises(ValueError):
-            RrPolicy(min_rr_ms=500.0, max_rr_ms=400.0)
-        with pytest.raises(ValueError):
-            RrPolicy(max_successive_change=1.5)
-
     @given(rr_lists)
     def test_output_is_subsequence_within_bounds(self, rr):
-        policy = RrPolicy()
-        kept = clean_rr(rr, policy)
-        assert all(policy.min_rr_ms <= v <= policy.max_rr_ms for v in kept)
+        kept = clean_rr(rr)
+        assert all(MIN_RR_MS <= v <= MAX_RR_MS for v in kept)
         it = iter(rr)
         assert all(any(v == w for w in it) for v in kept)  # subsequence check
 
@@ -112,7 +105,7 @@ class TestComputeCardiacFeatures:
         assert feats is not None
         assert (feats.hr_mean, feats.hr_min, feats.hr_max, feats.hr_std) == (mean, lo, hi, std)
         assert feats.rmssd == rmssd(rr)
-        assert feats.n_beats_used == len(rr)
+        assert clean_rr(rr) == rr  # every beat used
 
     def test_empty_channel_gives_none(self, clean_segment):
         seg = dataclasses.replace(clean_segment, rr_intervals=())

@@ -12,7 +12,7 @@ from conftest import make_segment
 from loadsense.cli import run_cli
 from loadsense.core import Dataset, TaskKind, load_dataset, write_dataset
 from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
-from loadsense.learn import apply_scaler, fit_scaler, greedy_ensemble, grid_search, model_to_json
+from loadsense.learn import fit_scaler, greedy_ensemble, grid_search, model_to_json
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -119,8 +119,8 @@ def _reference_train_json(rows, task, scheme, subset_name, seed):
     val_rows = [r for r in task_rows if r.participant in val_ids]
     subset = FEATURE_SUBSETS[subset_name]
     scaler = fit_scaler(_matrix(train_rows, subset))
-    X_train = apply_scaler(scaler, _matrix(train_rows, subset))
-    X_val = apply_scaler(scaler, _matrix(val_rows, subset))
+    X_train = scaler.transform(_matrix(train_rows, subset))
+    X_val = scaler.transform(_matrix(val_rows, subset))
     candidates = grid_search(X_train, _labels(train_rows), X_val, _labels(val_rows))
     ensemble = greedy_ensemble(candidates, X_val, _labels(val_rows))
     return model_to_json(dataclasses.replace(ensemble, scaler=scaler), seed=seed)

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from loadsense.core import EventKind, TaskEvent
 from loadsense.driving import (
     DEFAULT_SPEED_MPS,
-    IdealPath,
+    LANE_WIDTH_M,
+    TRANSITION_M,
     build_ideal_path,
     deviation_series,
     deviation_stats,
@@ -56,18 +57,18 @@ class TestDeviationSeries:
         path = build_ideal_path([])
         trace = np.array([(t, 0.0) for t in np.arange(0, 10, 1 / 33)])
         dev = deviation_series(trace, path)
-        assert np.allclose(dev.values, 0.0)
+        assert np.allclose(dev, 0.0)
 
     def test_constant_offset_gives_constant_deviation(self):
         path = build_ideal_path([])
         trace = np.array([(t, 0.5) for t in np.arange(0, 10, 1 / 33)])
         dev = deviation_series(trace, path)
-        assert np.allclose(dev.values, 0.5)
+        assert np.allclose(dev, 0.5)
 
     def test_ten_second_trace_gives_exactly_330_samples(self):
         path = build_ideal_path([])
         trace = np.array([(0.0, 0.0), (10.0, 0.0)])
-        assert len(deviation_series(trace, path).values) == 330
+        assert len(deviation_series(trace, path)) == 330
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError, match="at least 1 s"):
@@ -77,7 +78,7 @@ class TestDeviationSeries:
         path = build_ideal_path([])
         trace = np.array([(t, -0.7) for t in np.arange(0, 5, 0.1)])
         dev = deviation_series(trace, path)
-        assert np.allclose(dev.values, 0.7)
+        assert np.allclose(dev, 0.7)
 
 
 class TestDeviationStats:
@@ -86,18 +87,12 @@ class TestDeviationStats:
         assert deviation_stats(dev) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_two_values_hand_computed(self):
-        from loadsense.driving import DeviationSeries
-
-        dev = DeviationSeries(rate_hz=33.0, values=np.asarray([0.1, 0.3]))
-        mean, median, lo, hi, std = deviation_stats(dev)
+        mean, median, lo, hi, std = deviation_stats(np.asarray([0.1, 0.3]))
         assert (mean, median, lo, hi) == pytest.approx((0.2, 0.2, 0.1, 0.3))
         assert std == pytest.approx(0.1414, abs=1e-4)
 
     def test_constant_values(self):
-        from loadsense.driving import DeviationSeries
-
-        dev = DeviationSeries(rate_hz=33.0, values=np.full(100, 0.5))
-        assert deviation_stats(dev) == (0.5, 0.5, 0.5, 0.5, 0.0)
+        assert deviation_stats(np.full(100, 0.5)) == (0.5, 0.5, 0.5, 0.5, 0.0)
 
 
 def _stim(t, present):
@@ -164,6 +159,5 @@ class TestDefaults:
         assert DEFAULT_SPEED_MPS == pytest.approx(60.0 / 3.6)
 
     def test_lane_geometry_defaults(self):
-        path = IdealPath(change_points=())
-        assert path.lane_width == 3.5
-        assert path.transition_length == 36.0
+        assert LANE_WIDTH_M == 3.5
+        assert TRANSITION_M == 36.0

@@ -24,11 +24,10 @@ from loadsense.evaluate import (
     featurize_dataset,
     featurize_segment,
     make_split_plan,
-    parse_report_csv,
     render_report,
     run_nested_cv,
 )
-from loadsense.learn import MODEL_KINDS, accuracy, apply_scaler, fit_scaler, greedy_ensemble, grid_search
+from loadsense.learn import MODEL_KINDS, accuracy, fit_scaler, greedy_ensemble, grid_search
 from loadsense.pupil import compute_lhipa
 from loadsense.synth import GeneratorConfig, generate_dataset
 
@@ -179,6 +178,27 @@ class TestNonFiniteInput:
             assert name in features.missing or (value is not None and math.isfinite(value)), name
 
 
+# the time column of each timed channel, and the features it feeds
+TIMED_CHANNELS = {"driving": ("drive_avg_dev",), "pupil_left": ("lhipa_left",), "pupil_right": ("lhipa_right",)}
+
+
+class TestNonFiniteTime:
+    """Segments built in memory never pass `validate_segment`: a non-finite
+    sample time must still end as a named missing feature."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(TIMED_CHANNELS)), st.sampled_from(("first", "interior", "last")),
+           st.integers(0, 10**6), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_named_missing_without_validation(self, channel, where, interior, value):
+        seg = synthetic_segment()
+        assert not set(TIMED_CHANNELS[channel]) & featurize_segment(seg).missing
+        samples = np.array(getattr(seg, channel))
+        row = {"first": 0, "last": len(samples) - 1}.get(where, 1 + interior % (len(samples) - 2))
+        samples[row, 0] = value
+        features = featurize_segment(dataclasses.replace(seg, **{channel: samples}))
+        assert set(TIMED_CHANNELS[channel]) <= features.missing
+
+
 def small_feature_rows(seed=0, n_participants=8):
     ds = generate_dataset(GeneratorConfig(seed=seed, n_participants=n_participants))
     return featurize_dataset(ds)
@@ -198,6 +218,9 @@ class TestNestedCv:
         rep = run_nested_cv(rows, TaskKind.NBACK, "binary", plan, subsets=("heart",))
         assert rep.chance_percent == 50.0
         assert rep.scheme == "binary"
+        kept = evaluate._rows_for_task(rows, TaskKind.NBACK, "binary")
+        assert {r.level for r in kept} == {LoadLevel.EASY, LoadLevel.MEDIUM}
+        assert len(kept) == sum(1 for r in rows if r.task is TaskKind.NBACK and r.level is not LoadLevel.HARD)
 
     def test_binary_scheme_runs_below_ten_participants(self):
         # 9 participants leave 8 binary training rows in some folds: the k = 9 KNN config is skipped
@@ -231,7 +254,7 @@ class TestNestedCv:
         assert set(rep.cells) == {(m, s) for m in REPORT_ROWS for s in FEATURE_SUBSETS}
 
 
-def _reference_evaluate_fold(rows, fold, subsets, grids):
+def _reference_evaluate_fold(rows, fold, subsets):
     """`_evaluate_fold` before `select_and_fit`: the oracle for the shared
     fit-and-select path."""
     result = {}
@@ -244,10 +267,10 @@ def _reference_evaluate_fold(rows, fold, subsets, grids):
     for subset_name in subsets:
         subset = FEATURE_SUBSETS[subset_name]
         scaler = fit_scaler(_matrix(train_rows, subset))
-        X_train = apply_scaler(scaler, _matrix(train_rows, subset))
-        X_val = apply_scaler(scaler, _matrix(val_rows, subset))
-        X_test = apply_scaler(scaler, _matrix(test_rows, subset))
-        candidates = grid_search(X_train, y_train, X_val, y_val, grids)
+        X_train = scaler.transform(_matrix(train_rows, subset))
+        X_val = scaler.transform(_matrix(val_rows, subset))
+        X_test = scaler.transform(_matrix(test_rows, subset))
+        candidates = grid_search(X_train, y_train, X_val, y_val)
         for kind in MODEL_KINDS:
             best = next(c for c in candidates if c.kind == kind)
             result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)
@@ -307,7 +330,13 @@ class TestReportRendering:
 
     def test_csv_round_trip(self):
         report = dummy_report()
-        cells = parse_report_csv(render_report(report, "csv"))
+        header, *lines = [l for l in render_report(report, "csv").splitlines() if not l.startswith("#")]
+        cells = {}
+        for line in lines:
+            kind, *parts = line.split(",")
+            for subset, cell in zip(header.split(",")[1:], parts):
+                mean, std = cell.split("+-")
+                cells[(kind, subset)] = (float(mean), float(std))
         for key, (mean, std) in report.cells.items():
             assert cells[key] == (round(mean, 1), round(std, 1))
 

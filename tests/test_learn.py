@@ -1,5 +1,6 @@
 """Classifier, grid-search, ensemble-selection, and serialization tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from loadsense.learn import (
     _fit_stump,
     _presort,
     accuracy,
-    apply_scaler,
     fit_adaboost,
     fit_knn,
     fit_lda,
@@ -39,17 +39,17 @@ class TestScaler:
     def test_constant_column_scales_to_zero(self):
         X = np.asarray([[1.0, 5.0], [1.0, 7.0]])
         scaler = fit_scaler(X)
-        assert np.allclose(apply_scaler(scaler, X)[:, 0], 0.0)
+        assert np.allclose(scaler.transform(X)[:, 0], 0.0)
 
     def test_two_value_column_hand_computed(self):
         X = np.asarray([[0.0], [2.0]])
-        scaled = apply_scaler(fit_scaler(X), X)
+        scaled = fit_scaler(X).transform(X)
         assert scaled[:, 0] == pytest.approx([-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
 
     def test_idempotent_statistics(self):
         rng = np.random.default_rng(0)
         X = rng.normal(3.0, 2.0, size=(50, 4))
-        once = apply_scaler(fit_scaler(X), X)
+        once = fit_scaler(X).transform(X)
         second = fit_scaler(once)
         assert np.allclose(second.mean, 0.0, atol=1e-12)
         assert np.allclose(second.std, 1.0, atol=1e-12)
@@ -57,7 +57,7 @@ class TestScaler:
     def test_nan_imputed_with_train_mean(self):
         X = np.asarray([[1.0], [3.0], [np.nan]])
         scaler = fit_scaler(X)
-        scaled = apply_scaler(scaler, np.asarray([[np.nan]]))
+        scaled = scaler.transform(np.asarray([[np.nan]]))
         assert scaled[0, 0] == 0.0  # imputed to the mean, then centered
 
     def test_empty_matrix_rejected(self):
@@ -477,15 +477,15 @@ class TestDeterminismAndScaling:
         X, y = blobs(rng, [(-1.0, 2.0), (1.0, -2.0)], 25)
         Xt = rng.normal(size=(40, 2))
         for fit in (
-            lambda X_, y_, s: fit_lda(X_, y_, shrinkage=0.1, scaler=s),
-            lambda X_, y_, s: fit_knn(X_, y_, k=3, scaler=s),
-            lambda X_, y_, s: fit_adaboost(X_, y_, n_stumps=15, scaler=s),
+            lambda X_, y_, s: dataclasses.replace(fit_lda(X_, y_, shrinkage=0.1), scaler=s),
+            lambda X_, y_, s: dataclasses.replace(fit_knn(X_, y_, k=3), scaler=s),
+            lambda X_, y_, s: dataclasses.replace(fit_adaboost(X_, y_, n_stumps=15), scaler=s),
         ):
             scaler = fit_scaler(X)
-            base = fit(apply_scaler(scaler, X), y, scaler).predict(Xt)
+            base = fit(scaler.transform(X), y, scaler).predict(Xt)
             X10 = X * 10.0
             scaler10 = fit_scaler(X10)
-            scaled = fit(apply_scaler(scaler10, X10), y, scaler10).predict(Xt * 10.0)
+            scaled = fit(scaler10.transform(X10), y, scaler10).predict(Xt * 10.0)
             assert np.array_equal(base, scaled)
 
     def test_repeat_prediction_is_identical(self):
@@ -502,11 +502,11 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         X, y = blobs(rng, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)], 15)
         scaler = fit_scaler(X)
-        Xs = apply_scaler(scaler, X)
+        Xs = scaler.transform(X)
         fitters = {
-            "LDA": lambda: fit_lda(Xs, y, shrinkage=0.1, scaler=scaler),
-            "KNN": lambda: fit_knn(Xs, y, k=3, scaler=scaler),
-            "AdaBoost": lambda: fit_adaboost(Xs, y, n_stumps=10, scaler=scaler),
+            "LDA": lambda: dataclasses.replace(fit_lda(Xs, y, shrinkage=0.1), scaler=scaler),
+            "KNN": lambda: dataclasses.replace(fit_knn(Xs, y, k=3), scaler=scaler),
+            "AdaBoost": lambda: dataclasses.replace(fit_adaboost(Xs, y, n_stumps=10), scaler=scaler),
         }
         model = fitters[kind]()
         restored = model_from_json(model_to_json(model, seed=7))

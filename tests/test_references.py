@@ -1,0 +1,70 @@
+"""Repository-wide reference checks: every public library name has a program
+consumer, and every function the benchmark tracer wraps still exists."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "loadsense"
+PROGRAM_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+
+# Public names that only tests call today, each waiting for a consumer.
+ALLOWED_UNREFERENCED = {
+    "model_from_json",  # ROADMAP item 4: `loadsense predict` reads model.json
+    "nback_rate",  # ROADMAP item 4: `stats` writes secondary_task.csv
+    "visual_search_perf",  # ROADMAP item 4: `stats` writes secondary_task.csv
+}
+
+
+def _public_definitions() -> dict[str, str]:
+    """Public top-level functions and classes of the package: name -> module file."""
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+    return defined
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module refers to by Name, Attribute or import, leaving out a
+    top-level definition's references to itself."""
+    names = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            else:
+                continue
+            names |= found - {own}
+    return names
+
+
+def test_every_public_name_has_a_program_consumer():
+    referenced = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.glob("*.py")):
+            referenced |= _referenced_names(ast.parse(path.read_text()))
+    unreferenced = {name for name in _public_definitions() if name not in referenced}
+    assert unreferenced == ALLOWED_UNREFERENCED
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for span, module_name, attr_path, _ in tracing.WRAPS:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.append(span)
+    assert unresolved == []

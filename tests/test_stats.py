@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from loadsense import stats
 from loadsense.core import FeatureVector, LoadLevel, TaskKind
 from loadsense.stats import (
     CONDITIONS,
@@ -29,7 +30,6 @@ from loadsense.stats import (
     render_correlation_matrix,
     render_descriptive_table,
     significance_stars,
-    student_t_cdf,
     student_t_sf_two_tailed,
 )
 
@@ -43,15 +43,15 @@ def t_density(x: float, df: float) -> float:
 
 class TestStudentT:
     def test_df2_closed_form(self):
-        # F(t) = 1/2 * (1 + t / sqrt(2 + t^2)) for df = 2
+        # P(|T| >= |t|) = 1 - |t| / sqrt(2 + t^2) for df = 2
         for t in (-5.0, -1.3, 0.0, 0.7, 2.4641, 10.0):
-            expected = 0.5 * (1.0 + t / math.sqrt(2.0 + t * t))
-            assert student_t_cdf(t, 2) == pytest.approx(expected, abs=1e-10)
+            expected = 1.0 - abs(t) / math.sqrt(2.0 + t * t)
+            assert student_t_sf_two_tailed(t, 2) == pytest.approx(expected, abs=1e-10)
 
     def test_df1_cauchy_closed_form(self):
         for t in (-8.0, -0.5, 0.0, 1.0, 3.3):
-            expected = 0.5 + math.atan(t) / math.pi
-            assert student_t_cdf(t, 1) == pytest.approx(expected, abs=1e-10)
+            expected = 1.0 - 2.0 * math.atan(abs(t)) / math.pi
+            assert student_t_sf_two_tailed(t, 1) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("df", [5, 30, 44])
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.96, 3.2, 4.72])
@@ -62,7 +62,7 @@ class TestStudentT:
     def test_symmetry(self):
         for df in (3, 10, 42):
             for t in (0.3, 1.7, 2.9):
-                assert student_t_cdf(t, df) + student_t_cdf(-t, df) == pytest.approx(1.0, abs=1e-12)
+                assert student_t_sf_two_tailed(t, df) == student_t_sf_two_tailed(-t, df)
 
     def test_betainc_endpoints(self):
         assert betainc_reg(2.0, 3.0, 0.0) == 0.0
@@ -231,10 +231,11 @@ class TestReliabilityScreen:
         alphas, retained, excluded = reliability_screen({d: data for d in DIMENSIONS})
         assert retained == set(DIMENSIONS) and not excluded
 
-    def test_zero_threshold_retains_all_nondegenerate(self):
+    def test_zero_threshold_retains_all_nondegenerate(self, monkeypatch):
+        monkeypatch.setattr(stats, "RELIABILITY_THRESHOLD", -np.inf)
         rng = np.random.default_rng(0)
         matrices = {d: rng.normal(size=(20, 6)) for d in DIMENSIONS}
-        _, retained, excluded = reliability_screen(matrices, threshold=-np.inf)
+        _, retained, excluded = reliability_screen(matrices)
         assert retained == set(DIMENSIONS) and not excluded
 
 
