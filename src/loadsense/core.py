@@ -16,6 +16,15 @@ Floats are written with repr() so a write/load round trip is bit-exact.
 In memory each sample channel of a `SessionSegment` is one read-only
 float64 array with the CSV's columns (target_lane included); events stay a
 tuple of `TaskEvent`.
+
+A channel file is read by one of two paths with the same result.  A
+canonical file (the exact header line, then a non-empty LF-terminated body
+of digits, '.', 'e', 'E', '+', '-', ',' and LF with no blank line) is
+parsed by numpy's C `loadtxt`; `write_dataset` writes every non-empty
+channel of finite values, with lanes inside int64, that way.  Any other
+file, and any canonical file that `loadtxt` rejects, takes the csv-module
+reader, which alone raises the `path:line` errors.  events.csv always
+takes the csv-module reader.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -313,11 +323,58 @@ def _check_rows(path: Path, rows: list[list[str]], types: list) -> None:
             raise DatasetError(f"{path}:{lineno}: {exc}") from None
 
 
+# The only bytes a canonical channel body holds: what repr() of a float and
+# str() of an int write, the delimiter and LF.
+_CANONICAL_BODY_BYTES = b"0123456789.eE+-,\n"
+# A target_lane cell (the last column of driving.csv) that int() reads as 0
+# but float() as -0.0, which an int64 field cannot carry.
+_NEGATIVE_ZERO_LANE = re.compile(rb",-0+\n")
+
+
+def _read_canonical(path: Path, header: list[str]) -> np.ndarray | None:
+    """A canonical channel file parsed by numpy's C reader, or None for any
+    file this path cannot vouch for.
+
+    Canonical means: the first line is exactly the header, and the body is
+    non-empty, ends in LF, starts with no blank line and holds only
+    _CANONICAL_BODY_BYTES.  On such text loadtxt accepts and parses a float
+    cell exactly as float() does, and a target_lane cell, read as int64,
+    exactly as int() does (it rejects "1.0", "1e0" and overflow).  It skips
+    blank lines, so the row count must equal the line count."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    head = (",".join(header) + "\n").encode()
+    body = data[len(head):]
+    if not data.startswith(head) or not body.endswith(b"\n") or body.translate(None, _CANONICAL_BODY_BYTES):
+        return None
+    if "target_lane" in header and _NEGATIVE_ZERO_LANE.search(body):
+        return None
+    lines = body.decode("ascii").splitlines()
+    if not lines[0]:
+        return None  # loadtxt warns on a body of blank lines alone
+    dtype = [(name, np.int64 if name == "target_lane" else np.float64) for name in header]
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines):
+        return None
+    return np.column_stack([table[name] for name in header])  # an int64 lane column promotes to float64
+
+
 def _read_csv(path: Path, header: list[str]) -> np.ndarray:
     """A channel file as an (n, len(header)) float64 array.
 
     Each cell must parse as float() does, and a target_lane cell as int()
-    does, so an empty cell is an error."""
+    does, so an empty cell is an error.  A canonical file (see
+    _read_canonical) takes numpy's C parser; any other file, and any file
+    that parser rejects, takes the csv-module path below, which alone makes
+    every DatasetError."""
+    samples = _read_canonical(path, header)
+    if samples is not None:
+        return samples
     rows = _read_rows(path, header)
     try:
         samples = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))

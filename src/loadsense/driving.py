@@ -64,8 +64,8 @@ def deviation_series(trace: np.ndarray, path: IdealPath) -> np.ndarray:
     lateral_position_m); longitudinal position is DEFAULT_SPEED_MPS * (t - t0).
     The output grid is half-open: samples at t0 + k/33 for
     k = 0 .. floor(span * 33) - 1, so a 10 s trace yields exactly 330 values.
-    An empty trace, a non-finite sample time or a span under 1 s raises
-    ValueError.
+    An empty trace, a non-finite sample time or lateral position, or a span
+    under 1 s raises ValueError.
     """
     if len(trace) == 0:
         raise ValueError("deviation_series: empty trace")
@@ -73,6 +73,8 @@ def deviation_series(trace: np.ndarray, path: IdealPath) -> np.ndarray:
     lat = trace[:, 1]
     if not np.isfinite(t).all():
         raise ValueError("deviation_series: non-finite sample time")
+    if not np.isfinite(lat).all():
+        raise ValueError("deviation_series: non-finite lateral position")
     span = t[-1] - t[0]
     if span < 1.0:
         raise ValueError("deviation_series: trace must cover at least 1 s")

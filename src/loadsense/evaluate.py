@@ -118,7 +118,7 @@ def featurize_segment(seg: SessionSegment) -> FeatureVector:
         else:
             values[name] = value
 
-    try:  # deviation_series rejects a trace shorter than 1 s or with a non-finite time
+    try:  # deviation_series rejects a trace shorter than 1 s or with a non-finite time or position
         path = build_ideal_path(_change_points_from_trace(seg.driving))
         dev = deviation_series(seg.driving, path)
         values["drive_avg_dev"] = deviation_stats(dev)[0]

@@ -105,13 +105,16 @@ def preprocess_pupil(raw: np.ndarray) -> UniformPupilSignal | None:
     Leading/trailing gaps are trimmed; interior gaps of any length are
     bridged by linear interpolation.  Returns None when more than 25% of the
     samples are gaps (the rule `validate_segment` warns on), fewer than
-    2 s of usable signal remain, or any sample time is not finite.
+    2 s of usable signal remain, any sample time is not finite, or a sample
+    that is not a gap has a non-finite diameter (a gap's diameter is unused).
     """
     if len(raw) == 0:
         raise ValueError("preprocess_pupil: empty input")
     if not np.isfinite(raw[:, 0]).all():
         return None
     good = raw[:, 2] >= PUPIL_GAP_CONFIDENCE
+    if not np.isfinite(raw[good, 1]).all():
+        return None
     if good.sum() < 2:
         return None
     if pupil_gap_fraction(raw) > PUPIL_MAX_GAP_FRACTION:

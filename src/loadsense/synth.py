@@ -93,7 +93,6 @@ class GeneratorConfig:
     pupil_noise_mm: float = 0.02  # white-noise amplitude at the reference index value
     lhipa_reference: float = 2.38  # index produced by pupil_noise_mm at defaults
     driving_rate_hz: float = 33.0
-    speed_mps: float = DEFAULT_SPEED_MPS
     rt_sd_s: float = 0.18
 
 
@@ -152,7 +151,7 @@ def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float
 
 
 def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m: float):
-    route_m = config.speed_mps * duration_s
+    route_m = DEFAULT_SPEED_MPS * duration_s
     change_points = []
     lane = 1
     s = 80.0 + rng.uniform(0.0, 40.0)
@@ -165,7 +164,7 @@ def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m
     path = build_ideal_path(change_points)
     n = int(duration_s * config.driving_rate_hz)
     t = np.arange(n) / config.driving_rate_hz
-    s_grid = config.speed_mps * t
+    s_grid = DEFAULT_SPEED_MPS * t
     noise_sd = dev_target_m * math.sqrt(math.pi / 2.0)
     lateral = path.offset(s_grid) + rng.normal(0.0, noise_sd, size=n)
     lanes = np.zeros(n, dtype=int)
@@ -277,6 +276,7 @@ def load_config(path: str | Path) -> GeneratorConfig:
     scalars: dict[str, float] = {}
     target_fields: dict[tuple[TaskKind, LoadLevel], dict[str, float]] = {}
     level_names = {level.name.lower(): level for level in LoadLevel}
+    scalar_keys = set(GeneratorConfig.__dataclass_fields__) - {"targets"}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -286,6 +286,8 @@ def load_config(path: str | Path) -> GeneratorConfig:
         key, value = line.split("=", 1)
         parts = key.split(".")
         if len(parts) == 1:
+            if key not in scalar_keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             scalars[key] = float(value)
         elif len(parts) == 3:
             task = TaskKind(parts[0])

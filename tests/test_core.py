@@ -5,15 +5,18 @@ import dataclasses
 import functools
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_driving, make_events, make_pupil, make_segment
+from loadsense import core
 from loadsense.core import (
     CHANNEL_FILES,
     MIN_RR_COUNT_WARN,
@@ -27,6 +30,7 @@ from loadsense.core import (
     LoadLevel,
     TaskEvent,
     TaskKind,
+    _read_canonical,
     _read_csv,
     load_dataset,
     pupil_gap_fraction,
@@ -546,3 +550,125 @@ class TestReaderFuzz:
                 return
             assert increasing
             assert loaded == dataclasses.replace(base, **{field: want})
+
+
+# ---------------------------------------------------------------------------
+# The canonical (numpy loadtxt) path of `_read_csv` against its csv-module
+# fallback, which is `_read_csv` with the canonical path declined.
+
+
+def _fallback_read(path: Path, header: list[str]) -> np.ndarray:
+    with mock.patch.object(core, "_read_canonical", return_value=None):
+        return _read_csv(path, header)
+
+
+def _outcome(read, path: Path, header: list[str]):
+    """("rows", dtype, shape, bytes) of the array one reader returns, or ("error", message)."""
+    try:
+        samples = read(path, header)
+    except DatasetError as exc:
+        return "error", str(exc)
+    return "rows", samples.dtype, samples.shape, samples.tobytes()
+
+
+# finite doubles at the edges of the format: signed zero, subnormals, the extremes
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+FINITE_DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False))
+LANES = st.one_of(st.integers(-3, 12), st.integers(-2**63 - 2, 2**63 + 1), st.integers(-10**30, 10**30))
+
+
+class TestCanonicalRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(FINITE_DOUBLES, FINITE_DOUBLES), max_size=12),
+        st.lists(st.tuples(FINITE_DOUBLES, FINITE_DOUBLES, FINITE_DOUBLES), max_size=12),
+        st.lists(st.tuples(FINITE_DOUBLES, FINITE_DOUBLES, LANES), max_size=12),
+    )
+    def test_written_channels_read_back_bit_identical(self, rr, pupil, driving):
+        """Every channel `write_dataset` writes from finite doubles reads back
+        bit for bit.  The canonical path takes every non-empty file, except a
+        driving file with a lane outside int64, which the fallback reads."""
+        seg = make_segment(rr_intervals=rr, pupil_left=pupil, pupil_right=pupil[::-1],
+                           driving=[(t, lateral, float(lane)) for t, lateral, lane in driving])
+        int64_lanes = all(-2**63 <= int(float(lane)) < 2**63 for _, _, lane in driving)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(Dataset(segments=(seg,)), tmp)
+            for name, (file, header) in CHANNEL_FILES.items():
+                path = Path(tmp) / "p000" / "nback_easy" / file
+                want = getattr(seg, name)
+                got = _read_csv(path, header)
+                assert got.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+                canonical = _read_canonical(path, header) is not None
+                assert canonical == (len(want) > 0 and (name != "driving" or int64_lanes))
+
+
+# tokens made only of bytes the canonical path admits
+FAST_TOKENS = ["1.", ".5", "+.5", "1e-400", "1e400", "1e5.0", "--1", "01", "+1", "-0", "-00", "+0", "1.0",
+               "1e0", "99999999999999999999", "9223372036854775807", "9223372036854775808",
+               "-9223372036854775809", "", ".", "-", "1e", "1E+5", "5e-324", "2", "-3", "12", "0e0", "1-2"]
+
+
+class TestCanonicalFuzz:
+    @settings(max_examples=300, deadline=None)
+    @example(READ_SPECS[2], [("cell", 3, 2, "-0")])  # the lanes of driving.csv
+    @example(READ_SPECS[2], [("cell", 3, 2, "1.0")])
+    @example(READ_SPECS[2], [("cell", 3, 2, "1e0")])
+    @example(READ_SPECS[2], [("cell", 3, 2, "99999999999999999999")])
+    @given(
+        st.sampled_from(READ_SPECS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["cell", "blank", "drop", "extra", "swap", "dup"]),
+                st.integers(0, 40),
+                st.integers(0, 2),
+                st.sampled_from(FAST_TOKENS),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_same_outcome_as_the_fallback(self, spec, edits):
+        """Inside the canonical alphabet `_read_csv` returns the fallback's
+        array bit for bit or raises its DatasetError message."""
+        name, _, header, _ = spec
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(Dataset(segments=(small_segment(),)), tmp)
+            path = Path(tmp) / "p000" / "nback_easy" / name
+            lines = _edit_lines(path.read_text(encoding="utf-8").splitlines(), edits)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            want = _outcome(_fallback_read, path, header)
+            assert _outcome(_read_csv, path, header) == want
+
+
+def _text(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+# edits of a canonical file, as (header line, data lines) -> text, that the canonical path must decline
+FALLBACK_TRIGGERS = {
+    "leading blank line": lambda head, rows: _text(head, "", *rows),
+    "interior blank line": lambda head, rows: _text(head, *rows[:3], "", *rows[3:]),
+    "trailing blank line": lambda head, rows: _text(head, *rows, ""),
+    "blank lines only": lambda head, rows: _text(head, "", ""),
+    "header only": lambda head, rows: _text(head),
+    "no trailing newline": lambda head, rows: _text(head, *rows)[:-1],
+    "CRLF": lambda head, rows: _text(head, *rows).replace("\n", "\r\n"),
+    "BOM": lambda head, rows: "\ufeff" + _text(head, *rows),
+    "quoted header": lambda head, rows: _text(",".join(f'"{cell}"' for cell in head.split(",")), *rows),
+    "whitespace cell": lambda head, rows: _text(head, *rows[:3], " " + rows[3], *rows[4:]),
+}
+
+
+class TestCanonicalDeclines:
+    @pytest.mark.parametrize("spec", READ_SPECS, ids=[spec[0] for spec in READ_SPECS])
+    @pytest.mark.parametrize("trigger", sorted(FALLBACK_TRIGGERS))
+    def test_fallback_result(self, tmp_path, spec, trigger):
+        name, _, header, _ = spec
+        write_dataset(Dataset(segments=(small_segment(),)), tmp_path)
+        path = tmp_path / "p000" / "nback_easy" / name
+        head, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_bytes(FALLBACK_TRIGGERS[trigger](head, rows).encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_canonical(path, header) is None
+            assert _outcome(_read_csv, path, header) == _outcome(_fallback_read, path, header)

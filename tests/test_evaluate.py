@@ -199,6 +199,35 @@ class TestNonFiniteTime:
         assert set(TIMED_CHANNELS[channel]) <= features.missing
 
 
+# the value column of each timed channel, and the feature it feeds
+VALUE_COLUMNS = {("driving", 1): "drive_avg_dev", ("pupil_left", 1): "lhipa_left", ("pupil_right", 1): "lhipa_right"}
+
+
+class TestNonFiniteValue:
+    """As `TestNonFiniteTime`, for a lateral position or a pupil diameter: a
+    non-finite one ends as a named missing feature, except a diameter in a
+    blink (confidence 0), which no feature uses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(VALUE_COLUMNS)), st.sampled_from(("first", "interior", "last")),
+           st.integers(0, 10**6), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+    def test_named_missing_without_validation(self, column, where, interior, value, blink):
+        seg = synthetic_segment()
+        channel, position = column
+        feature = VALUE_COLUMNS[column]
+        samples = np.array(getattr(seg, channel))
+        row = {"first": 0, "last": len(samples) - 1}.get(where, 1 + interior % (len(samples) - 2))
+        samples[row, position] = value
+        blink = blink and channel != "driving"
+        if channel != "driving":
+            samples[row, 2] = 0.0 if blink else 1.0
+        features = featurize_segment(dataclasses.replace(seg, **{channel: samples}))
+        if blink:
+            assert feature not in features.missing and math.isfinite(features.value(feature))
+        else:
+            assert feature in features.missing
+
+
 def small_feature_rows(seed=0, n_participants=8):
     ds = generate_dataset(GeneratorConfig(seed=seed, n_participants=n_participants))
     return featurize_dataset(ds)

@@ -224,6 +224,12 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="expected key=value"):
             load_config(tmp_path / "cfg.txt")
 
+    @pytest.mark.parametrize("key", ["speed_mps", "targets", "n_participant"])
+    def test_unknown_scalar_key_names_file_line_and_key(self, tmp_path, key):
+        (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}=25.0\n")
+        with pytest.raises(ValueError, match=rf"cfg.txt:2: unknown key '{key}'"):
+            load_config(tmp_path / "cfg.txt")
+
     def test_targets_cover_all_conditions(self):
         assert set(DEFAULT_TARGETS) == {(t, l) for t in TaskKind for l in LoadLevel}
         for targets in DEFAULT_TARGETS.values():
