@@ -42,7 +42,7 @@ from .stats import (
     render_descriptive_table,
 )
 from .core import FEATURE_NAMES, LoadLevel
-from .synth import GeneratorConfig, generate_dataset, generate_null_dataset, load_config, save_config
+from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
 
 TASK_NAMES = {"nback": TaskKind.NBACK, "visual_search": TaskKind.VISUAL_SEARCH}
 
@@ -94,7 +94,9 @@ def cmd_synth(args, argv) -> int:
     if args.participants is not None:
         config = dataclasses.replace(config, n_participants=args.participants)
     config = dataclasses.replace(config, seed=args.seed)
-    dataset = generate_null_dataset(config) if args.null else generate_dataset(config)
+    if args.null:
+        config = null_config(config)
+    dataset = generate_dataset(config)
     out = Path(args.out)
     write_dataset(dataset, out / "dataset")
     save_config(config, out / "generator_config.txt")

@@ -486,10 +486,15 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
 
 
 def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
-    """Write a dataset as the directory tree described in the module docstring."""
+    """Write a dataset as the directory tree described in the module docstring.
+    A segment under the root that it would not overwrite is an error."""
     root = Path(root_path)
-    for seg in dataset.segments:
-        seg_dir = root / seg.participant_id / f"{seg.task.value}_{seg.level.name.lower()}"
+    seg_dirs = {root / seg.participant_id / f"{seg.task.value}_{seg.level.name.lower()}": seg
+                for seg in dataset.segments}
+    stale = sorted(m.parent for m in root.glob("*/*/manifest.json") if m.parent not in seg_dirs)
+    if stale:
+        raise DatasetError(f"{stale[0]}: segment not in the dataset being written; write to an empty directory")
+    for seg_dir, seg in seg_dirs.items():
         seg_dir.mkdir(parents=True, exist_ok=True)
         manifest = {
             "participant": seg.participant_id,

@@ -7,6 +7,12 @@ pooled per-condition standard deviations, which mix between-participant
 spread, level effects, and measurement noise); they are part of the config
 so the decomposition is explicit.
 
+generator_config.txt records every GeneratorConfig field, so that file and
+the seed reproduce a tree.  The protocol and sensors are fixed constants:
+N_STIMULI, STIMULUS_INTERVAL_S, NBACK_TARGET_FRACTION,
+VISUAL_SEARCH_TARGET_FRACTION, PUPIL_RATE_HZ, PUPIL_BASE_MM, LHIPA_REFERENCE,
+DRIVING_RATE_HZ, RT_SD_S and driving.DEFAULT_SPEED_MPS.
+
 Per-participant RNG streams are derived from (seed, participant index), so
 output is independent of generation order and byte-identical per seed.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -63,6 +70,18 @@ DEFAULT_TARGETS: dict[tuple[TaskKind, LoadLevel], LevelTargets] = {
 }
 
 
+# Fixed session protocol and sensor constants.
+N_STIMULI = 40
+STIMULUS_INTERVAL_S = 3.0  # 2000 ms presentation + 1000 ms pause
+NBACK_TARGET_FRACTION = 0.25
+VISUAL_SEARCH_TARGET_FRACTION = 0.5
+PUPIL_RATE_HZ = 120.0
+PUPIL_BASE_MM = 4.0
+LHIPA_REFERENCE = 2.38  # index produced by the default pupil_noise_mm
+DRIVING_RATE_HZ = 33.0
+RT_SD_S = 0.18
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_participants: int = 45
@@ -82,18 +101,7 @@ class GeneratorConfig:
     # segment timing
     duration_min_s: float = 125.0
     duration_max_s: float = 160.0
-    # task schedules
-    n_stimuli: int = 40
-    stimulus_interval_s: float = 3.0  # 2000 ms presentation + 1000 ms pause
-    nback_target_fraction: float = 0.25
-    visual_search_target_fraction: float = 0.5
-    # sensor parameters
-    pupil_rate_hz: float = 120.0
-    pupil_base_mm: float = 4.0
-    pupil_noise_mm: float = 0.02  # white-noise amplitude at the reference index value
-    lhipa_reference: float = 2.38  # index produced by pupil_noise_mm at defaults
-    driving_rate_hz: float = 33.0
-    rt_sd_s: float = 0.18
+    pupil_noise_mm: float = 0.02  # white-noise amplitude at LHIPA_REFERENCE
 
 
 def null_config(config: GeneratorConfig) -> GeneratorConfig:
@@ -130,27 +138,27 @@ def _synth_rr(rng, duration_s: float, hr_bpm: float, rmssd_ms: float):
 
 
 def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float, lhipa_target: float):
-    n = int(duration_s * config.pupil_rate_hz)
-    t = np.arange(n) / config.pupil_rate_hz
+    n = int(duration_s * PUPIL_RATE_HZ)
+    t = np.arange(n) / PUPIL_RATE_HZ
     signal = np.full(n, base_mm)
     for _ in range(3):
         freq = rng.uniform(0.1, 0.5)
         amp = rng.uniform(0.05, 0.15)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         signal += amp * np.sin(2.0 * math.pi * freq * t + phase)
-    noise_sd = config.pupil_noise_mm * lhipa_target / config.lhipa_reference
+    noise_sd = config.pupil_noise_mm * lhipa_target / LHIPA_REFERENCE
     signal += rng.normal(0.0, noise_sd, size=n)
     signal = np.maximum(signal, 0.5)
     confidence = np.ones(n)
     # a few sub-500 ms tracking dropouts
     for _ in range(rng.poisson(3.0)):
         start = rng.integers(0, max(1, n - 60))
-        width = int(rng.uniform(0.1, 0.4) * config.pupil_rate_hz)
+        width = int(rng.uniform(0.1, 0.4) * PUPIL_RATE_HZ)
         confidence[start : start + width] = 0.0
     return np.column_stack((t, signal, confidence))
 
 
-def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m: float):
+def _synth_driving(rng, duration_s: float, dev_target_m: float):
     route_m = DEFAULT_SPEED_MPS * duration_s
     change_points = []
     lane = 1
@@ -162,8 +170,8 @@ def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m
         lane = to_lane
         s += rng.uniform(120.0, 200.0)
     path = build_ideal_path(change_points)
-    n = int(duration_s * config.driving_rate_hz)
-    t = np.arange(n) / config.driving_rate_hz
+    n = int(duration_s * DRIVING_RATE_HZ)
+    t = np.arange(n) / DRIVING_RATE_HZ
     s_grid = DEFAULT_SPEED_MPS * t
     noise_sd = dev_target_m * math.sqrt(math.pi / 2.0)
     lateral = path.offset(s_grid) + rng.normal(0.0, noise_sd, size=n)
@@ -174,15 +182,14 @@ def _synth_driving(rng, config: GeneratorConfig, duration_s: float, dev_target_m
     return np.column_stack((t, lateral, lanes))
 
 
-def _synth_events(rng, config: GeneratorConfig, task: TaskKind, targets: LevelTargets):
-    n = config.n_stimuli
-    frac = config.nback_target_fraction if task is TaskKind.NBACK else config.visual_search_target_fraction
-    n_targets = round(n * frac)
-    is_target = np.zeros(n, dtype=bool)
-    is_target[rng.permutation(n)[:n_targets]] = True
+def _synth_events(rng, task: TaskKind, targets: LevelTargets):
+    frac = NBACK_TARGET_FRACTION if task is TaskKind.NBACK else VISUAL_SEARCH_TARGET_FRACTION
+    n_targets = round(N_STIMULI * frac)
+    is_target = np.zeros(N_STIMULI, dtype=bool)
+    is_target[rng.permutation(N_STIMULI)[:n_targets]] = True
     events: list[TaskEvent] = []
-    for i in range(n):
-        onset = 1.0 + i * config.stimulus_interval_s
+    for i in range(N_STIMULI):
+        onset = 1.0 + i * STIMULUS_INTERVAL_S
         kind = EventKind.TARGET_PRESENT if is_target[i] else EventKind.TARGET_ABSENT
         events.append(TaskEvent(onset, kind, payload=f"s{i}"))
         respond = rng.random() < (targets.hit_prob if is_target[i] else targets.false_positive_prob)
@@ -190,7 +197,7 @@ def _synth_events(rng, config: GeneratorConfig, task: TaskKind, targets: LevelTa
             if task is TaskKind.NBACK:
                 rt = rng.uniform(0.4, 1.8)
             else:
-                rt = float(np.clip(rng.normal(targets.rt_mean_s, config.rt_sd_s), 0.25, 2.9))
+                rt = float(np.clip(rng.normal(targets.rt_mean_s, RT_SD_S), 0.25, 2.9))
             events.append(TaskEvent(onset + rt, EventKind.RESPONSE, payload=f"s{i}"))
     events.sort(key=lambda e: e.t_s)
     return tuple(events)
@@ -206,7 +213,7 @@ def _generate_participant(config: GeneratorConfig, index: int) -> list[SessionSe
     hr_base = config.hr_baseline_sd * a
     rmssd_base = config.rmssd_baseline_sd * (rho * a + math.sqrt(1.0 - rho**2) * b)
     drive_base = config.drive_baseline_sd * rng.normal()
-    pupil_base = config.pupil_base_mm + rng.normal(0.0, 0.35)
+    pupil_base = PUPIL_BASE_MM + rng.normal(0.0, 0.35)
 
     segments = []
     for task in TaskKind:
@@ -224,8 +231,8 @@ def _generate_participant(config: GeneratorConfig, index: int) -> list[SessionSe
                     rr_intervals=_synth_rr(rng, duration, hr, rmssd_t),
                     pupil_left=_synth_pupil(rng, config, duration, pupil_base, targets.lhipa_left),
                     pupil_right=_synth_pupil(rng, config, duration, pupil_base, targets.lhipa_right),
-                    driving=_synth_driving(rng, config, duration, dev_t),
-                    events=_synth_events(rng, config, task, targets),
+                    driving=_synth_driving(rng, duration, dev_t),
+                    events=_synth_events(rng, task, targets),
                     duration_s=duration,
                 )
             )
@@ -242,41 +249,28 @@ def generate_dataset(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     return Dataset(segments=tuple(segments))
 
 
-def generate_null_dataset(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
-    """Same generator with all level effects zeroed; labels carry no signal."""
-    return generate_dataset(null_config(config))
-
-
 # ---------------------------------------------------------------------------
-# Flat key-value config files
+# Flat key-value config files: each GeneratorConfig field parses with its type
+
+_SCALAR_TYPES = {name: kind for name, kind in get_type_hints(GeneratorConfig).items() if name != "targets"}
+_TARGET_TYPES = get_type_hints(LevelTargets)
+_TASKS = {task.value: task for task in TaskKind}
+_LEVELS = {level.name.lower(): level for level in LoadLevel}
 
 
 def save_config(config: GeneratorConfig, path: str | Path) -> None:
-    lines = [
-        f"n_participants={config.n_participants}",
-        f"seed={config.seed}",
-        f"hr_baseline_sd={config.hr_baseline_sd!r}",
-        f"rmssd_baseline_sd={config.rmssd_baseline_sd!r}",
-        f"drive_baseline_sd={config.drive_baseline_sd!r}",
-        f"drive_session_sd={config.drive_session_sd!r}",
-        f"hr_rmssd_baseline_corr={config.hr_rmssd_baseline_corr!r}",
-        f"duration_min_s={config.duration_min_s!r}",
-        f"duration_max_s={config.duration_max_s!r}",
-        f"pupil_noise_mm={config.pupil_noise_mm!r}",
-    ]
+    lines = [f"{name}={getattr(config, name)!r}" for name in _SCALAR_TYPES]
     for (task, level), t in sorted(config.targets.items(), key=lambda kv: (kv[0][0].value, int(kv[0][1]))):
         prefix = f"{task.value}.{level.name.lower()}"
-        for fname in LevelTargets.__dataclass_fields__:
+        for fname in _TARGET_TYPES:
             lines.append(f"{prefix}.{fname}={getattr(t, fname)!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_config(path: str | Path) -> GeneratorConfig:
     base = GeneratorConfig()
-    scalars: dict[str, float] = {}
+    scalars: dict[str, int | float] = {}
     target_fields: dict[tuple[TaskKind, LoadLevel], dict[str, float]] = {}
-    level_names = {level.name.lower(): level for level in LoadLevel}
-    scalar_keys = set(GeneratorConfig.__dataclass_fields__) - {"targets"}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -285,21 +279,18 @@ def load_config(path: str | Path) -> GeneratorConfig:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         parts = key.split(".")
-        if len(parts) == 1:
-            if key not in scalar_keys:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            scalars[key] = float(value)
-        elif len(parts) == 3:
-            task = TaskKind(parts[0])
-            level = level_names[parts[1]]
-            target_fields.setdefault((task, level), {})[parts[2]] = float(value)
+        if key in _SCALAR_TYPES:
+            kind, fields = _SCALAR_TYPES[key], scalars
+        elif len(parts) == 3 and parts[0] in _TASKS and parts[1] in _LEVELS and parts[2] in _TARGET_TYPES:
+            kind = _TARGET_TYPES[parts[2]]
+            fields = target_fields.setdefault((_TASKS[parts[0]], _LEVELS[parts[1]]), {})
         else:
-            raise ValueError(f"{path}:{lineno}: bad key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            fields[parts[-1]] = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: not {kind.__name__}: {value!r}") from None
     targets = dict(base.targets)
-    for cond, fields in target_fields.items():
-        targets[cond] = replace(targets[cond], **fields)
-    kwargs = dict(scalars)
-    for int_key in ("n_participants", "seed"):
-        if int_key in kwargs:
-            kwargs[int_key] = int(kwargs[int_key])
-    return replace(base, targets=targets, **kwargs)
+    for cond, overrides in target_fields.items():
+        targets[cond] = replace(targets[cond], **overrides)
+    return replace(base, targets=targets, **scalars)

@@ -58,6 +58,35 @@ class TestSynth:
     def test_null_flag(self, tmp_path):
         assert run_cli(["synth", "--out", str(tmp_path), "--participants", "1", "--seed", "0", "--null"]) == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--null"]], ids=["effect", "null"])
+    def test_recorded_config_reproduces_tree(self, tmp_path, flags):
+        first = tmp_path / "first"
+        assert run_cli(["synth", "--out", str(first), "--participants", "1", "--seed", "3", *flags]) == 0
+        again = tmp_path / "again"
+        assert run_cli(["synth", "--out", str(again), "--config", str(first / "generator_config.txt"),
+                        "--seed", "3"]) == 0
+        assert read_tree(again / "dataset") == read_tree(first / "dataset")
+        assert (again / "generator_config.txt").read_bytes() == (first / "generator_config.txt").read_bytes()
+
+    @pytest.mark.parametrize("line", [
+        "nback.easy.bogus=1", "nback.extreme.hr_sd=1", "bogus.easy.hr_sd=1", "seed=abc",
+        "n_participants=2.5", "pupil_rate_hz=60.0", "n_stimuli=20",
+    ])
+    def test_bad_config_line_is_data_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed=3\n{line}\n")
+        assert run_cli(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_stale_segment_is_data_error(self, tmp_path, capsys):
+        assert run_cli(["synth", "--out", str(tmp_path), "--participants", "2", "--seed", "7"]) == 0
+        capsys.readouterr()
+        before = read_tree(tmp_path)
+        assert run_cli(["synth", "--out", str(tmp_path), "--participants", "1", "--seed", "11"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'dataset' / 'p001'}")
+        assert read_tree(tmp_path) == before
+
 
 class TestUsageErrors:
     def test_missing_subcommand_is_usage_error(self, capsys):

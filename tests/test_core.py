@@ -138,6 +138,20 @@ class TestRoundTrip:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    def test_segment_the_dataset_would_not_overwrite_is_rejected(self, tiny_dataset, tmp_path):
+        write_dataset(tiny_dataset, tmp_path)
+        p000 = Dataset(segments=tuple(s for s in tiny_dataset.segments if s.participant_id == "p000"))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(DatasetError, match=rf"^{tmp_path / 'p001' / 'nback_easy'}: segment not in the dataset"):
+            write_dataset(p000, tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_overwriting_every_existing_segment_is_allowed(self, tiny_dataset, tmp_path):
+        p000 = Dataset(segments=tuple(s for s in tiny_dataset.segments if s.participant_id == "p000"))
+        write_dataset(p000, tmp_path)
+        write_dataset(tiny_dataset, tmp_path)
+        assert len(load_dataset(tmp_path).segments) == len(tiny_dataset.segments)
+
 
 class TestLoadDataset:
     def test_empty_directory_errors(self, tmp_path):

@@ -3,10 +3,14 @@ effect directions, null mode, and config round trips."""
 
 import dataclasses
 import math
+import tempfile
 import time
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loadsense.core import LoadLevel, TaskKind, validate_dataset, validate_segment, write_dataset
 from loadsense.driving import nback_rate, visual_search_perf
@@ -16,11 +20,24 @@ from loadsense.synth import (
     GeneratorConfig,
     LevelTargets,
     generate_dataset,
-    generate_null_dataset,
     load_config,
     null_config,
     save_config,
 )
+
+
+PROTOCOL_CONSTANTS = [
+    "n_stimuli", "stimulus_interval_s", "nback_target_fraction", "visual_search_target_fraction",
+    "pupil_rate_hz", "pupil_base_mm", "lhipa_reference", "driving_rate_hz", "rt_sd_s",
+]
+FLOATS = st.floats(allow_nan=False)
+LEVEL_TARGETS = st.builds(LevelTargets, *[FLOATS] * len(dataclasses.fields(LevelTargets)))
+# any value in every GeneratorConfig field, targets included
+CONFIGS = st.builds(GeneratorConfig, **{
+    name: st.fixed_dictionaries(dict.fromkeys(DEFAULT_TARGETS, LEVEL_TARGETS)) if name == "targets"
+    else st.integers() if kind is int else FLOATS
+    for name, kind in get_type_hints(GeneratorConfig).items()
+})
 
 
 def level_means(rows, task, dimension):
@@ -163,7 +180,7 @@ class TestNullMode:
             assert targets[0] == targets[1] == targets[2]
 
     def test_null_level_means_differ_only_by_sampling_noise(self):
-        ds = generate_null_dataset(GeneratorConfig(seed=4, n_participants=45))
+        ds = generate_dataset(null_config(GeneratorConfig(seed=4, n_participants=45)))
         rows = featurize_dataset(ds)
         config = GeneratorConfig()
         ses = {
@@ -224,11 +241,45 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="expected key=value"):
             load_config(tmp_path / "cfg.txt")
 
-    @pytest.mark.parametrize("key", ["speed_mps", "targets", "n_participant"])
+    # the last nine are fixed protocol constants, not settings
+    @pytest.mark.parametrize("key", ["speed_mps", "targets", "n_participant", *PROTOCOL_CONSTANTS])
     def test_unknown_scalar_key_names_file_line_and_key(self, tmp_path, key):
         (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}=25.0\n")
         with pytest.raises(ValueError, match=rf"cfg.txt:2: unknown key '{key}'"):
             load_config(tmp_path / "cfg.txt")
+
+    @pytest.mark.parametrize(
+        "key", ["nback.easy.bogus", "nback.extreme.hr_sd", "bogus.easy.hr_sd", "nback.easy", "nback.easy.hr_sd.x"]
+    )
+    def test_unknown_target_key_names_file_line_and_key(self, tmp_path, key):
+        (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}=1\n")
+        with pytest.raises(ValueError, match=rf"cfg.txt:2: unknown key '{key}'"):
+            load_config(tmp_path / "cfg.txt")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["seed=abc", "seed=7.0", "n_participants=2.5", "hr_baseline_sd=", "nback.easy.hr_sd=1,5"],
+    )
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, line):
+        key = line.split("=")[0]
+        (tmp_path / "cfg.txt").write_text(f"seed=3\n{line}\n")
+        with pytest.raises(ValueError, match=rf"cfg.txt:2: key '{key}': not (int|float): "):
+            load_config(tmp_path / "cfg.txt")
+
+    def test_keys_are_the_dataclass_fields(self, tmp_path):
+        save_config(GeneratorConfig(), tmp_path / "cfg.txt")
+        keys = [line.split("=")[0] for line in (tmp_path / "cfg.txt").read_text().splitlines()]
+        scalars = [f.name for f in dataclasses.fields(GeneratorConfig) if f.name != "targets"]
+        assert keys[: len(scalars)] == scalars
+        assert len(scalars) == 10
+        assert len(keys) == len(scalars) + len(DEFAULT_TARGETS) * len(dataclasses.fields(LevelTargets))
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=CONFIGS)
+    def test_every_field_round_trips(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_config(config, Path(tmp) / "cfg.txt")
+            assert load_config(Path(tmp) / "cfg.txt") == config
 
     def test_targets_cover_all_conditions(self):
         assert set(DEFAULT_TARGETS) == {(t, l) for t in TaskKind for l in LoadLevel}
