@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Regenerate tests/fixtures/golden/, the frozen end-to-end outputs.
+
+For seed 7 and a 10-participant synthetic cohort (generate_dataset ->
+featurize_dataset, all in memory) it writes:
+
+- the three report CSVs run_full_pipeline.py writes (run_nested_cv, then
+  render_report), under the same file names;
+- model_sha256.txt: the sha256 of model_to_json(train(..., "all", 7)) for
+  each of those three task/scheme pairs.
+
+tests/test_golden.py recomputes the same outputs through `golden_outputs`
+and compares them byte for byte, so a change that moves any fitted model
+or report shows up across commits, not only between two runs of one
+commit.  Regenerate only for a declared output change.
+
+Run from the repository root:
+
+    python3 scripts/make_golden_fixtures.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from loadsense.core import TaskKind
+from loadsense.evaluate import featurize_dataset, make_split_plan, render_report, run_nested_cv, train
+from loadsense.learn import model_to_json
+from loadsense.synth import GeneratorConfig, generate_dataset
+
+SEED = 7
+PARTICIPANTS = 10
+EVALUATIONS = ((TaskKind.NBACK, "multi"), (TaskKind.NBACK, "binary"), (TaskKind.VISUAL_SEARCH, "multi"))
+OUT_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "golden"
+
+
+def golden_outputs() -> dict[str, bytes]:
+    """File name -> bytes of every golden output."""
+    rows = featurize_dataset(generate_dataset(GeneratorConfig(n_participants=PARTICIPANTS, seed=SEED)))
+    plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=SEED)
+    outputs = {}
+    digests = []
+    for task, scheme in EVALUATIONS:
+        report = run_nested_cv(rows, task, scheme, plan)
+        outputs[f"report_{task.value}_{scheme}.csv"] = render_report(report, "csv").encode()
+        model = train(rows, task, scheme, "all", SEED)
+        digest = hashlib.sha256(model_to_json(model, seed=SEED).encode()).hexdigest()
+        digests.append(f"{task.value} {scheme} {digest}\n")
+    outputs["model_sha256.txt"] = "".join(digests).encode()
+    return outputs
+
+
+def main() -> int:
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    for name, data in golden_outputs().items():
+        (OUT_DIR / name).write_bytes(data)
+        print(f"wrote {OUT_DIR / name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

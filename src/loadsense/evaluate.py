@@ -187,7 +187,7 @@ def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureR
     X_val = scaler.transform(_matrix(val_rows, subset))
     y_val = _labels(val_rows)
     candidates = grid_search(X_train, _labels(train_rows), X_val, y_val)
-    return scaler, candidates, greedy_ensemble(candidates, X_val, y_val)
+    return scaler, candidates, greedy_ensemble(candidates, y_val)
 
 
 def _evaluate_fold(rows, fold, subsets):

@@ -163,82 +163,84 @@ def _predict_knn(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 
 class _Presort(NamedTuple):
-    """Per-fit stump candidates: every column sorted once, because the
-    boosting rounds change the weights but never the order."""
+    """Per-fit stump candidates and the side of each threshold every row
+    falls on: the boosting rounds change the weights, never these."""
 
-    order: np.ndarray  # (p, n) row indices; per column, NaN rows first, then ascending values
-    splits: np.ndarray  # (T,) flat index j * (n + 1) + s; rows before position s predict -1
     features: np.ndarray  # (T,) column of each threshold
     thresholds: np.ndarray  # (T,) column by column, ascending within a column
+    above: np.ndarray  # (T, n) bool, X[:, features].T > thresholds[:, None]; a NaN is never above
 
 
 def _presort(X: np.ndarray) -> _Presort:
     """Candidate thresholds per column: one below the minimum, then the
     midpoint of each pair of adjacent distinct sorted values."""
-    n, p = X.shape
-    orders, splits, features, thresholds = [], [], [], []
-    for j in range(p):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        nan = np.isnan(sorted_col)
-        distinct = sorted_col[1:] > sorted_col[:-1]
-        thr = np.concatenate([sorted_col[:1] - 1.0, 0.5 * (sorted_col[:-1][distinct] + sorted_col[1:][distinct])])
-        # col > thr is False for NaN rows, so they sit below every threshold; the
-        # split is found by value, so a midpoint that rounds onto a neighbour is exact
-        split = np.count_nonzero(nan) + np.searchsorted(sorted_col[~nan], thr, side="right")
-        orders.append(np.concatenate([order[nan], order[~nan]]))
-        splits.append(j * (n + 1) + split)
-        features.append(np.full(len(thr), j))
-        thresholds.append(thr)
-    return _Presort(np.asarray(orders), np.concatenate(splits), np.concatenate(features), np.concatenate(thresholds))
+    ordered = np.sort(X, axis=0)  # NaN sorts last and is never distinct from its neighbour
+    candidates = np.concatenate([ordered[:1] - 1.0, 0.5 * (ordered[:-1] + ordered[1:])]).T
+    keep = np.concatenate([np.ones((1, X.shape[1]), dtype=bool), ordered[1:] > ordered[:-1]]).T
+    features = np.nonzero(keep)[0]
+    thresholds = candidates[keep]
+    return _Presort(features, thresholds, X.T[features] > thresholds[:, None])
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray, presort: _Presort):
-    """Best weighted stump (err, feature, threshold, polarity); prediction is
+    """Best weighted stump (err, feature, threshold, polarity) among the
+    candidates `presort` holds for X; prediction is
     polarity * sign(x[feature] - threshold), with sign(0) treated as -1.
 
-    Candidates are ranked feature, threshold, polarity +1 then -1, and a later
-    one wins only if its error is below the best so far by more than 1e-15.
-    Prefix sums over the presorted columns give every candidate's error at
-    once, but they add the weights in another order than the exact error
-    ``float(w[pred != target].sum())``.  Both are sums of at most n
-    non-negative weights, each within n * eps * sum(w) of the true sum, so
-    they differ by less than ``slack``.  Only a candidate within ``slack`` of
-    beating the best is evaluated exactly, and the strict-improvement chain
-    runs on exact errors alone.
+    The stump is the one the strict sequential chain ends on: candidates
+    rank feature, threshold, polarity +1 then -1, and a later one wins only
+    if its exact error is below the best so far by more than 1e-15.  One
+    matrix product scores every candidate, and only the near-minimum cluster
+    is evaluated exactly; `_best_stump` says why that ends on the same stump.
     """
-    p, n = presort.order.shape
-    w_pos = np.where(target > 0, w, 0.0)[presort.order]
-    w_neg = np.where(target > 0, 0.0, w)[presort.order]
-    pos_below = np.zeros((p, n + 1))
-    np.cumsum(w_pos, axis=1, out=pos_below[:, 1:])
-    neg_above = np.zeros_like(pos_below)
-    np.cumsum(w_neg[:, ::-1], axis=1, out=neg_above[:, -2::-1])
-    err_pos = pos_below.ravel()[presort.splits] + neg_above.ravel()[presort.splits]
+    err, t, polarity = _best_stump(presort.above != (target > 0), w)
+    return err, int(presort.features[t]), presort.thresholds[t], polarity
+
+
+def _best_stump(mismatch: np.ndarray, w: np.ndarray) -> tuple[float, int, int]:
+    """(err, candidate, polarity) of the best stump; `mismatch` is (T, n),
+    True where a candidate with polarity +1 mispredicts a row, and `w` holds
+    non-negative weights.
+
+    Candidates rank by row of `mismatch`, polarity +1 then -1, and a later
+    one wins only if its exact error, ``float(w[mismatch[t]].sum())`` or 1
+    minus that, is below the best so far by more than 1e-15.
+
+    One matrix product gives every candidate's approximate error at once,
+    adding the weights in another order than the exact error.  Both are sums
+    of at most n non-negative weights, each within n * eps * sum(w) of the
+    true sum, so they differ by less than ``slack`` (four times that bound,
+    which also covers the roundings of the comparisons).  The cluster is the
+    run of sorted approximate errors from the minimum up to the first gap
+    wider than G = 1e-15 + 2 * slack.  Every member's exact error is then
+    more than 1e-15 below every non-member's.  So in the chain over all
+    candidates the first member replaces whatever non-member is best before
+    it, and no non-member ever replaces a member: the chain over the cluster
+    alone, in candidate order, ends on the same stump, and only members are
+    evaluated exactly.
+    """
+    err_pos = mismatch @ w
     approx = np.empty(2 * len(err_pos))
     approx[0::2] = err_pos
     approx[1::2] = 1.0 - err_pos
-    slack = 8.0 * (n + 2) * np.finfo(float).eps * max(float(np.abs(w).sum()), 1.0)
+    slack = 8.0 * (len(w) + 2) * _EPS * max(float(w.sum()), 1.0)
+    gap = 1e-15 + 2.0 * slack
+    cut = approx.min()
+    while (top := approx[approx <= cut + gap].max()) > cut:
+        cut = top
 
-    def exact(k: int):
-        j = int(presort.features[k // 2])
-        thr = presort.thresholds[k // 2]
-        pred = np.where(X[:, j] > thr, 1.0, -1.0)
-        err = float(w[pred != target].sum())
-        return (err, j, thr, 1) if k % 2 == 0 else (1.0 - err, j, thr, -1)
-
-    best = exact(0)
-    k = 1
-    while True:
-        ahead = np.flatnonzero(approx[k:] < best[0] - 1e-15 + slack)
-        if not ahead.size:
-            return best
-        k += int(ahead[0])
-        candidate = exact(k)
-        if candidate[0] < best[0] - 1e-15:
-            best = candidate
-        k += 1
+    best = None
+    for k in (approx <= cut).nonzero()[0].tolist():
+        t, negative = divmod(k, 2)
+        err = float(w[mismatch[t]].sum())
+        if negative:
+            err = 1.0 - err
+        if best is None or err < best[0] - 1e-15:
+            best = (err, t, -1 if negative else 1)
+    return best
 
 
 def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int) -> TrainedModel:
@@ -256,19 +258,21 @@ def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int) -> TrainedModel
     presort = _presort(X)
     machines = []
     for c in classes:
-        target = np.where(y == c, 1.0, -1.0)
+        mismatch = presort.above != (y == c)
+        # +1 where a polarity +1 stump errs on the row, else -1; times
+        # polarity * alpha it is the exponent -alpha * target * prediction
+        wrong = np.where(mismatch, 1.0, -1.0)
         w = np.full(len(X), 1.0 / len(X))
         stumps = []
         for _ in range(n_stumps):
-            err, j, thr, polarity = _fit_stump(X, target, w, presort)
+            err, t, polarity = _best_stump(mismatch, w)
             if err >= 0.5:
                 break
             err = min(max(err, 1e-10), 1.0 - 1e-10)
             alpha = 0.5 * np.log((1.0 - err) / err)
-            pred = polarity * np.where(X[:, j] > thr, 1.0, -1.0)
-            w = w * np.exp(-alpha * target * pred)
+            w = w * np.exp(polarity * alpha * wrong[t])
             w /= w.sum()
-            stumps.append((j, thr, polarity, alpha))
+            stumps.append((int(presort.features[t]), presort.thresholds[t], polarity, alpha))
         machines.append(stumps)
     params = {"machines": machines}
     return TrainedModel(kind="AdaBoost", classes=classes, params=params)
@@ -331,6 +335,7 @@ class Candidate:
     kind: str
     config: dict
     model: TrainedModel
+    val_predictions: np.ndarray  # model.predict on the validation rows
     val_accuracy: float
     order: int  # position in (kind, grid) enumeration; tie-break key
 
@@ -356,6 +361,7 @@ def grid_search(
     """
     if len(np.asarray(X_val)) == 0:
         raise ValueError("grid_search: empty validation set")
+    y_val = np.asarray(y_val, dtype=int)
     grids = grids if grids is not None else DEFAULT_GRIDS
     if not any(grids.values()):
         raise ValueError("grid_search: empty grids")
@@ -377,22 +383,19 @@ def grid_search(
                     model = dataclasses.replace(boosted, params={"machines": machines})
                 else:
                     model = _FITTERS[kind](X_train, y_train, cfg)
+                pred = model.predict(X_val)
                 candidates.append(
-                    Candidate(kind=kind, config=cfg, model=model,
-                              val_accuracy=accuracy(model, X_val, y_val), order=order)
+                    Candidate(kind=kind, config=cfg, model=model, val_predictions=pred,
+                              val_accuracy=float(np.mean(pred == y_val)), order=order)
                 )
             order += 1
     candidates.sort(key=lambda c: (-c.val_accuracy, c.order))
     return candidates
 
 
-def greedy_ensemble(
-    candidates: Sequence[Candidate],
-    X_val: np.ndarray,
-    y_val: Sequence[int],
-) -> TrainedModel:
-    """Forward selection with replacement under plurality vote, up to
-    ENSEMBLE_MAX_SIZE votes.
+def greedy_ensemble(candidates: Sequence[Candidate], y_val: Sequence[int]) -> TrainedModel:
+    """Forward selection with replacement under plurality vote of the
+    candidates' validation predictions, up to ENSEMBLE_MAX_SIZE votes.
 
     Starts from the best single candidate and only accepts additions that
     strictly improve validation accuracy, so the ensemble's validation
@@ -403,7 +406,7 @@ def greedy_ensemble(
     y_val = np.asarray(y_val, dtype=int)
     classes = tuple(sorted({c for cand in candidates for c in cand.model.classes}))
 
-    preds = [cand.model.predict(X_val) for cand in candidates]
+    preds = [cand.val_predictions for cand in candidates]
     # the best candidate (highest validation accuracy, earliest order on ties)
     # seeds the ensemble, so its accuracy is the floor
     seed_index = min(range(len(candidates)), key=lambda i: (-candidates[i].val_accuracy, candidates[i].order))

@@ -271,6 +271,7 @@ def load_config(path: str | Path) -> GeneratorConfig:
     base = GeneratorConfig()
     scalars: dict[str, int | float] = {}
     target_fields: dict[tuple[TaskKind, LoadLevel], dict[str, float]] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -290,7 +291,16 @@ def load_config(path: str | Path) -> GeneratorConfig:
             fields[parts[-1]] = kind(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: key {key!r}: not {kind.__name__}: {value!r}") from None
+        if not math.isfinite(fields[parts[-1]]):
+            raise ValueError(f"{path}:{lineno}: key {key!r}: not finite: {value!r}")
+        key_lines[key] = lineno
     targets = dict(base.targets)
     for cond, overrides in target_fields.items():
         targets[cond] = replace(targets[cond], **overrides)
-    return replace(base, targets=targets, **scalars)
+    config = replace(base, targets=targets, **scalars)
+    if config.duration_max_s < config.duration_min_s:
+        # the later of the two lines is the one that broke the pair
+        key = max(("duration_min_s", "duration_max_s"), key=lambda k: key_lines.get(k, 0))
+        raise ValueError(f"{path}:{key_lines[key]}: key {key!r}: duration_max_s {config.duration_max_s!r} "
+                         f"is below duration_min_s {config.duration_min_s!r}")
+    return config

@@ -155,8 +155,8 @@ def test_criterion_4_ensemble_guarantee():
             model = fit_knn(X_val, preds, k=1)
             val_acc = float(np.mean(preds == y_val))
             candidates.append(Candidate(kind="KNN", config={"k": 1}, model=model,
-                                        val_accuracy=val_acc, order=i))
-        ensemble = greedy_ensemble(candidates, X_val, y_val)
+                                        val_predictions=model.predict(X_val), val_accuracy=val_acc, order=i))
+        ensemble = greedy_ensemble(candidates, y_val)
         best_single = max(c.val_accuracy for c in candidates)
         assert accuracy(ensemble, X_val, y_val) >= best_single
 

@@ -79,6 +79,17 @@ class TestSynth:
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", [
+        "pupil_noise_mm=inf", "nback.easy.lhipa_left=nan", "hr_baseline_sd=nan", "duration_max_s=-5",
+    ])
+    def test_non_finite_or_inverted_config_value_is_data_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed=3\n{line}\n")
+        assert run_cli(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+        key = line.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: key {key!r}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_stale_segment_is_data_error(self, tmp_path, capsys):
         assert run_cli(["synth", "--out", str(tmp_path), "--participants", "2", "--seed", "7"]) == 0
         capsys.readouterr()
@@ -151,7 +162,7 @@ def _reference_train_json(rows, task, scheme, subset_name, seed):
     X_train = scaler.transform(_matrix(train_rows, subset))
     X_val = scaler.transform(_matrix(val_rows, subset))
     candidates = grid_search(X_train, _labels(train_rows), X_val, _labels(val_rows))
-    ensemble = greedy_ensemble(candidates, X_val, _labels(val_rows))
+    ensemble = greedy_ensemble(candidates, _labels(val_rows))
     return model_to_json(dataclasses.replace(ensemble, scaler=scaler), seed=seed)
 
 

@@ -303,7 +303,7 @@ def _reference_evaluate_fold(rows, fold, subsets):
         for kind in MODEL_KINDS:
             best = next(c for c in candidates if c.kind == kind)
             result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)
-        ensemble = greedy_ensemble(candidates, X_val, y_val)
+        ensemble = greedy_ensemble(candidates, y_val)
         result[("Ensemble", subset_name)] = accuracy(ensemble, X_test, y_test)
     return result
 

@@ -1,6 +1,7 @@
 """Classifier, grid-search, ensemble-selection, and serialization tests."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -285,6 +286,74 @@ class TestStumpSearchOracle:
                 w /= w.sum()
 
 
+def _reference_fit_adaboost(X: np.ndarray, y: np.ndarray, n_stumps: int) -> list:
+    """The boosting loop on the per-threshold oracle: each round's stump from
+    `_reference_fit_stump`, predictions recomputed from X."""
+    machines = []
+    for c in sorted(set(y.tolist())):
+        target = np.where(y == c, 1.0, -1.0)
+        w = np.full(len(X), 1.0 / len(X))
+        stumps = []
+        for _ in range(n_stumps):
+            err, j, thr, polarity = _reference_fit_stump(X, target, w)
+            if err >= 0.5:
+                break
+            err = min(max(err, 1e-10), 1.0 - 1e-10)
+            alpha = 0.5 * np.log((1.0 - err) / err)
+            pred = polarity * np.where(X[:, j] > thr, 1.0, -1.0)
+            w = w * np.exp(-alpha * target * pred)
+            w /= w.sum()
+            stumps.append((j, thr, polarity, alpha))
+        machines.append(stumps)
+    return machines
+
+
+def tie_heavy_problem(rng, trial):
+    """Seeded boosting input: n in 2-40, p in 1-5, 2 or 3 classes, integer
+    features; some trials duplicate a column, add NaN and +-inf cells, or
+    mix in rounded real values."""
+    n = int(rng.integers(2, 41))
+    p = int(rng.integers(1, 6))
+    n_classes = 2 if n < 3 or trial % 2 else 3
+    X = rng.integers(-2, 3, size=(n, p)).astype(float)
+    if trial % 4 == 1:
+        X[:, -1] = X[:, 0]
+    if trial % 3 == 2:
+        X[rng.random(X.shape) < 0.1] = np.nan
+        X[rng.random(X.shape) < 0.05] = np.inf
+        X[rng.random(X.shape) < 0.05] = -np.inf
+    if trial % 5 == 4:
+        X[:, 0] = np.round(rng.normal(size=n), 1)
+    y = rng.integers(0, n_classes, size=n)
+    y[:n_classes] = np.arange(n_classes)  # every class present
+    return X, y
+
+
+class TestAdaBoostModelOracle:
+    def test_fit_matches_reference_loop_on_tie_heavy_problems(self):
+        rng = np.random.default_rng(2027)
+        for trial in range(150):
+            X, y = tie_heavy_problem(rng, trial)
+            n_stumps = int(rng.integers(1, 26))
+            model = fit_adaboost(X, y, n_stumps=n_stumps)
+            # json writes every float by repr, NaN included: equal text is equal bits
+            assert json.dumps(model.params["machines"]) == json.dumps(_reference_fit_adaboost(X, y, n_stumps)), trial
+
+    def test_cluster_chain_keeps_the_sequential_choice(self):
+        """Three candidates 1.5e-15 and 0.6e-15 apart: the sequential chain
+        takes the second (it beats the first by more than 1e-15), and the
+        third, the smallest error, never beats the second by more than 1e-15."""
+        X = np.asarray([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        target = np.asarray([-1.0, -1.0, -1.0, 1.0])
+        w = np.asarray([0.1, 0.1 + 1.5e-15, 0.1 + 2.1e-15, 0.7 - 3.6e-15])
+        # feature j, threshold 0.5, polarity -1 errs on the other two of rows 0-2
+        errs = [1.0 - float(w[[j, 3]].sum()) for j in range(3)]
+        assert errs[0] - 1e-15 > errs[1] and errs[1] - 1e-15 < errs[2] < errs[1]
+        want = _reference_fit_stump(X, target, w)
+        assert want == (errs[1], 1, 0.5, -1)
+        assert _fit_stump(X, target, w, _presort(X)) == want
+
+
 class TestAdaBoostPredictOracle:
     def test_scores_and_predictions_match_the_loop(self):
         rng = np.random.default_rng(17)
@@ -379,7 +448,8 @@ def fixed_candidate(preds_on_val, X_val, kind="KNN", order=0, y_val=None):
     """Candidate whose validation predictions are forced via a k=1 lookup table."""
     model = fit_knn(X_val, preds_on_val, k=1)
     val_acc = float(np.mean(np.asarray(preds_on_val) == np.asarray(y_val)))
-    return Candidate(kind=kind, config={"k": 1}, model=model, val_accuracy=val_acc, order=order)
+    return Candidate(kind=kind, config={"k": 1}, model=model, val_predictions=model.predict(X_val),
+                     val_accuracy=val_acc, order=order)
 
 
 class TestGreedyEnsemble:
@@ -387,7 +457,7 @@ class TestGreedyEnsemble:
         X_val = np.arange(6, dtype=float)[:, None]
         y_val = np.asarray([0, 0, 0, 1, 1, 1])
         cand = fixed_candidate(y_val, X_val, y_val=y_val)
-        ensemble = greedy_ensemble([cand], X_val, y_val)
+        ensemble = greedy_ensemble([cand], y_val)
         assert ensemble.params["members"] == [(cand.model, 1)]
 
     def test_perfect_plus_random_keeps_perfect_accuracy(self):
@@ -395,7 +465,7 @@ class TestGreedyEnsemble:
         y_val = np.asarray([0, 1] * 5)
         perfect = fixed_candidate(y_val, X_val, order=0, y_val=y_val)
         noisy = fixed_candidate(1 - y_val, X_val, order=1, y_val=y_val)
-        ensemble = greedy_ensemble([perfect, noisy], X_val, y_val)
+        ensemble = greedy_ensemble([perfect, noisy], y_val)
         assert accuracy(ensemble, X_val, y_val) == 1.0
 
     def test_complementary_members_beat_best_single(self):
@@ -408,7 +478,7 @@ class TestGreedyEnsemble:
             np.asarray([0, 0, 1, 1, 1, 1]),
         ]
         candidates = [fixed_candidate(p, X_val, order=i, y_val=y_val) for i, p in enumerate(preds)]
-        ensemble = greedy_ensemble(candidates, X_val, y_val)
+        ensemble = greedy_ensemble(candidates, y_val)
         best_single = max(c.val_accuracy for c in candidates)
         assert accuracy(ensemble, X_val, y_val) == 1.0 > best_single
 
@@ -421,12 +491,12 @@ class TestGreedyEnsemble:
                 fixed_candidate(rng.integers(0, 3, size=30), X_val, order=i, y_val=y_val)
                 for i in range(4)
             ]
-            ensemble = greedy_ensemble(candidates, X_val, y_val)
+            ensemble = greedy_ensemble(candidates, y_val)
             assert accuracy(ensemble, X_val, y_val) >= max(c.val_accuracy for c in candidates)
 
     def test_no_candidates_rejected(self):
         with pytest.raises(ValueError):
-            greedy_ensemble([], np.zeros((1, 1)), [0])
+            greedy_ensemble([], [0])
 
 
 def _reference_vote(preds, counts, classes):
@@ -517,7 +587,7 @@ class TestSerialization:
         rng = np.random.default_rng(15)
         X, y = blobs(rng, [(-2.0,), (2.0,)], 20)
         candidates = grid_search(X, y, X, y)
-        ensemble = greedy_ensemble(candidates, X, y)
+        ensemble = greedy_ensemble(candidates, y)
         restored = model_from_json(model_to_json(ensemble))
         Xt = rng.normal(size=(40, 1))
         assert np.array_equal(ensemble.predict(Xt), restored.predict(Xt))

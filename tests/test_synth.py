@@ -30,14 +30,16 @@ PROTOCOL_CONSTANTS = [
     "n_stimuli", "stimulus_interval_s", "nback_target_fraction", "visual_search_target_fraction",
     "pupil_rate_hz", "pupil_base_mm", "lhipa_reference", "driving_rate_hz", "rt_sd_s",
 ]
-FLOATS = st.floats(allow_nan=False)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 LEVEL_TARGETS = st.builds(LevelTargets, *[FLOATS] * len(dataclasses.fields(LevelTargets)))
-# any value in every GeneratorConfig field, targets included
+# any value load_config accepts in every GeneratorConfig field, targets included:
+# finite floats, and the duration bounds in order
 CONFIGS = st.builds(GeneratorConfig, **{
     name: st.fixed_dictionaries(dict.fromkeys(DEFAULT_TARGETS, LEVEL_TARGETS)) if name == "targets"
     else st.integers() if kind is int else FLOATS
     for name, kind in get_type_hints(GeneratorConfig).items()
-})
+}).map(lambda c: dataclasses.replace(c, duration_min_s=min(c.duration_min_s, c.duration_max_s),
+                                     duration_max_s=max(c.duration_min_s, c.duration_max_s)))
 
 
 def level_means(rows, task, dimension):
@@ -265,6 +267,29 @@ class TestConfigFiles:
         (tmp_path / "cfg.txt").write_text(f"seed=3\n{line}\n")
         with pytest.raises(ValueError, match=rf"cfg.txt:2: key '{key}': not (int|float): "):
             load_config(tmp_path / "cfg.txt")
+
+    @pytest.mark.parametrize("key", ["pupil_noise_mm", "duration_min_s", "nback.hard.rt_mean_s"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_names_file_line_and_key(self, tmp_path, key, value):
+        (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}={value}\n")
+        with pytest.raises(ValueError, match=rf"cfg.txt:2: key '{key}': not finite: '{value}'"):
+            load_config(tmp_path / "cfg.txt")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("duration_max_s=-5\n", 2, "duration_max_s"),
+        ("duration_min_s=170\n", 2, "duration_min_s"),
+        ("duration_max_s=140\nduration_min_s=150\n", 3, "duration_min_s"),
+        ("duration_min_s=150\nduration_max_s=140\n", 3, "duration_max_s"),
+    ])
+    def test_inverted_duration_bounds_name_the_later_line(self, tmp_path, text, line, key):
+        (tmp_path / "cfg.txt").write_text(f"seed=3\n{text}")
+        with pytest.raises(ValueError, match=rf"cfg.txt:{line}: key '{key}': duration_max_s .* is below duration_min_s"):
+            load_config(tmp_path / "cfg.txt")
+
+    def test_equal_duration_bounds_are_accepted(self, tmp_path):
+        (tmp_path / "cfg.txt").write_text("duration_min_s=150\nduration_max_s=150\n")
+        config = load_config(tmp_path / "cfg.txt")
+        assert config.duration_min_s == config.duration_max_s == 150.0
 
     def test_keys_are_the_dataclass_fields(self, tmp_path):
         save_config(GeneratorConfig(), tmp_path / "cfg.txt")
