@@ -53,6 +53,7 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError:
+            print(f"usage: LOADSENSE_SEED must be an integer, got {env!r}", file=sys.stderr)
             raise SystemExit(2)
     return DEFAULT_SEED
 
@@ -146,7 +147,7 @@ def cmd_stats(args, argv) -> int:
     )
 
     matrices = {dim: build_condition_matrix(tuples, dim) for dim in DIMENSIONS}
-    alphas, retained, excluded = reliability_screen(matrices)
+    alphas, retained, excluded = reliability_screen({dim: m.values for dim, m in matrices.items()})
     reliability_lines = [f"# format_version={FORMAT_VERSION}", f"# seed={args.seed}",
                          "dimension,alpha,retained"]
     for dim in DIMENSIONS:

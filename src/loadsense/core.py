@@ -153,7 +153,7 @@ FEATURE_NAMES = (
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """The eight model input features; unavailable channels are named in `missing`."""
+    """The eight model input features; None marks a feature whose channel was unusable."""
 
     hr_mean: float | None = None
     hr_min: float | None = None
@@ -163,7 +163,11 @@ class FeatureVector:
     lhipa_left: float | None = None
     lhipa_right: float | None = None
     drive_avg_dev: float | None = None
-    missing: frozenset[str] = frozenset()
+
+    @property
+    def missing(self) -> frozenset[str]:
+        """Names of the features that are None."""
+        return frozenset(name for name in FEATURE_NAMES if getattr(self, name) is None)
 
     def value(self, name: str) -> float | None:
         if name not in FEATURE_NAMES:
@@ -186,6 +190,9 @@ class Issue:
 PUPIL_GAP_CONFIDENCE = 0.6
 PUPIL_MAX_GAP_FRACTION = 0.25
 MIN_RR_COUNT_WARN = 30
+# a segment's duration_s must lie in this range
+SEGMENT_MIN_DURATION_S = 60.0
+SEGMENT_MAX_DURATION_S = 300.0
 
 
 def pupil_gap_fraction(samples: np.ndarray) -> float:
@@ -209,8 +216,9 @@ def validate_segment(seg: SessionSegment) -> list[Issue]:
     """
     issues: list[Issue] = []
 
-    if not 60.0 <= seg.duration_s <= 300.0:
-        issues.append(Issue("error", f"duration_s {seg.duration_s!r} outside [60, 300]"))
+    if not SEGMENT_MIN_DURATION_S <= seg.duration_s <= SEGMENT_MAX_DURATION_S:
+        issues.append(Issue("error", f"duration_s {seg.duration_s!r} outside "
+                                     f"[{SEGMENT_MIN_DURATION_S:g}, {SEGMENT_MAX_DURATION_S:g}]"))
 
     pupils = (("pupil_left", seg.pupil_left), ("pupil_right", seg.pupil_right))
     channels = (("rr", seg.rr_intervals), *pupils, ("driving", seg.driving))

@@ -98,34 +98,27 @@ def _change_points_from_trace(driving: np.ndarray):
 
 
 def featurize_segment(seg: SessionSegment) -> FeatureVector:
-    missing: set[str] = set()
-    values: dict[str, float | None] = {name: None for name in FEATURE_NAMES}
+    values: dict[str, float | None] = dict.fromkeys(FEATURE_NAMES)  # None: missing
 
     cardiac = compute_cardiac_features(seg)
-    if cardiac is None:
-        missing.update(HEART_FEATURES)
-    else:
+    if cardiac is not None:
         values["hr_mean"] = cardiac.hr_mean
         values["hr_min"] = cardiac.hr_min
         values["hr_max"] = cardiac.hr_max
         values["hr_std"] = cardiac.hr_std
         values["hrv_rmssd"] = cardiac.rmssd
 
-    for name, samples in (("lhipa_left", seg.pupil_left), ("lhipa_right", seg.pupil_right)):
-        value = compute_lhipa(samples)
-        if value is None:
-            missing.add(name)
-        else:
-            values[name] = value
+    values["lhipa_left"] = compute_lhipa(seg.pupil_left)
+    values["lhipa_right"] = compute_lhipa(seg.pupil_right)
 
     try:  # deviation_series rejects a trace shorter than 1 s or with a non-finite time or position
         path = build_ideal_path(_change_points_from_trace(seg.driving))
         dev = deviation_series(seg.driving, path)
         values["drive_avg_dev"] = deviation_stats(dev)[0]
     except ValueError:
-        missing.add("drive_avg_dev")
+        pass
 
-    return FeatureVector(**values, missing=frozenset(missing))
+    return FeatureVector(**values)
 
 
 def featurize_dataset(dataset: Dataset) -> list[FeatureRow]:

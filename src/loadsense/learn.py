@@ -19,7 +19,7 @@ MODEL_KINDS = ("LDA", "KNN", "AdaBoost")
 MODEL_FORMAT_VERSION = 1
 ENSEMBLE_MAX_SIZE = 10
 
-DEFAULT_GRIDS = {
+GRIDS = {
     "LDA": [{"shrinkage": s} for s in (0.01, 0.1, 0.3, 0.5)],
     "KNN": [{"k": k} for k in (1, 3, 5, 7, 9)],
     "AdaBoost": [{"n_stumps": n} for n in (25, 50, 100)],
@@ -185,21 +185,6 @@ def _presort(X: np.ndarray) -> _Presort:
 _EPS = float(np.finfo(float).eps)
 
 
-def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray, presort: _Presort):
-    """Best weighted stump (err, feature, threshold, polarity) among the
-    candidates `presort` holds for X; prediction is
-    polarity * sign(x[feature] - threshold), with sign(0) treated as -1.
-
-    The stump is the one the strict sequential chain ends on: candidates
-    rank feature, threshold, polarity +1 then -1, and a later one wins only
-    if its exact error is below the best so far by more than 1e-15.  One
-    matrix product scores every candidate, and only the near-minimum cluster
-    is evaluated exactly; `_best_stump` says why that ends on the same stump.
-    """
-    err, t, polarity = _best_stump(presort.above != (target > 0), w)
-    return err, int(presort.features[t]), presort.thresholds[t], polarity
-
-
 def _best_stump(mismatch: np.ndarray, w: np.ndarray) -> tuple[float, int, int]:
     """(err, candidate, polarity) of the best stump; `mismatch` is (T, n),
     True where a candidate with polarity +1 mispredicts a row, and `w` holds
@@ -246,8 +231,11 @@ def _best_stump(mismatch: np.ndarray, w: np.ndarray) -> tuple[float, int, int]:
 def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int) -> TrainedModel:
     """Discrete AdaBoost on decision stumps; multi-class via one-vs-rest margins.
 
-    The rounds are deterministic, so the model fitted with fewer stumps is a
-    per-class prefix of this one's machines (see `grid_search`)."""
+    A stump (feature, threshold, polarity, alpha) predicts
+    polarity * sign(x[feature] - threshold), with sign(0) treated as -1.
+    Each round takes the stump `_best_stump` picks among the `_presort`
+    candidates.  The rounds are deterministic, so the model fitted with fewer
+    stumps is a per-class prefix of this one's machines (see `grid_search`)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     classes = tuple(sorted(set(y.tolist())))
@@ -351,33 +339,24 @@ def grid_search(
     y_train: Sequence[int],
     X_val: np.ndarray,
     y_val: Sequence[int],
-    grids: dict[str, list[dict]] | None = None,
 ) -> list[Candidate]:
-    """Train every grid configuration and rank by validation accuracy.
+    """Train every GRIDS configuration and rank by validation accuracy.
 
     Ties rank by model kind order (LDA < KNN < AdaBoost), then grid order.
-    A KNN configuration whose k exceeds the training set size is left out;
-    a model kind with no configuration left raises ValueError.
+    A KNN configuration whose k exceeds the training set size is left out.
     """
     if len(np.asarray(X_val)) == 0:
         raise ValueError("grid_search: empty validation set")
     y_val = np.asarray(y_val, dtype=int)
-    grids = grids if grids is not None else DEFAULT_GRIDS
-    if not any(grids.values()):
-        raise ValueError("grid_search: empty grids")
     candidates = []
     order = 0
     for kind in MODEL_KINDS:
-        configs = grids.get(kind, [])
-        # a KNN k above the training set size cannot run: skipped, but it keeps its order number
-        skipped = [kind == "KNN" and cfg["k"] > len(X_train) for cfg in configs]
-        if configs and all(skipped):
-            raise ValueError(f"grid_search: no {kind} configuration can run on {len(X_train)} training rows")
-        if kind == "AdaBoost" and configs:
+        if kind == "AdaBoost":
             # one boosting run at the largest size; smaller sizes are exact per-class prefixes
-            boosted = fit_adaboost(X_train, y_train, max(cfg["n_stumps"] for cfg in configs))
-        for cfg, skip in zip(configs, skipped):
-            if not skip:
+            boosted = fit_adaboost(X_train, y_train, max(cfg["n_stumps"] for cfg in GRIDS[kind]))
+        for cfg in GRIDS[kind]:
+            # a KNN k above the training set size cannot run: skipped, but it keeps its order number
+            if not (kind == "KNN" and cfg["k"] > len(X_train)):
                 if kind == "AdaBoost":
                     machines = [stumps[: cfg["n_stumps"]] for stumps in boosted.params["machines"]]
                     model = dataclasses.replace(boosted, params={"machines": machines})

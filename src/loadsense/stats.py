@@ -44,10 +44,6 @@ class ConditionMatrix:
         if self.values.shape != (len(self.participants), len(CONDITIONS)):
             raise ValueError("condition matrix must be participants x 6")
 
-    def complete_rows(self) -> np.ndarray:
-        mask = ~np.isnan(self.values).any(axis=1)
-        return self.values[mask]
-
 
 # ---------------------------------------------------------------------------
 # Student-t distribution
@@ -163,17 +159,15 @@ def paired_t(x: Sequence[float], y: Sequence[float]) -> TestResult:
     return TestResult(statistic=t, df=n - 1, p_value=student_t_sf_two_tailed(t, n - 1), n=n)
 
 
-def cronbach_alpha(items: ConditionMatrix | np.ndarray) -> TestResult:
-    """Cronbach's alpha over k item columns with listwise deletion.
+def cronbach_alpha(items: np.ndarray) -> TestResult:
+    """Cronbach's alpha over the k item columns of an (n, k) array, with
+    listwise deletion of rows holding a NaN.
 
     alpha = k/(k-1) * (1 - sum(item variances) / variance(row sums)),
     sample (n-1) variances.
     """
-    if isinstance(items, ConditionMatrix):
-        data = items.complete_rows()
-    else:
-        data = np.asarray(items, dtype=float)
-        data = data[~np.isnan(data).any(axis=1)]
+    data = np.asarray(items, dtype=float)
+    data = data[~np.isnan(data).any(axis=1)]
     n, k = data.shape
     if k < 2:
         raise ValueError("cronbach_alpha: need at least 2 item columns")
@@ -188,9 +182,10 @@ def cronbach_alpha(items: ConditionMatrix | np.ndarray) -> TestResult:
 
 
 def reliability_screen(
-    matrices: Mapping[str, ConditionMatrix | np.ndarray],
+    matrices: Mapping[str, np.ndarray],
 ) -> tuple[dict[str, float], set[str], set[str]]:
-    """Retain dimensions whose alpha meets RELIABILITY_THRESHOLD.
+    """Retain dimensions whose alpha over their (participants, conditions)
+    array meets RELIABILITY_THRESHOLD.
 
     Returns (alphas, retained, excluded).  Excluded dimensions are skipped
     by downstream hypothesis tests; classification still uses all features.

@@ -27,6 +27,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .core import (
+    SEGMENT_MAX_DURATION_S,
+    SEGMENT_MIN_DURATION_S,
     Dataset,
     EventKind,
     LoadLevel,
@@ -42,15 +44,10 @@ class LevelTargets:
     """Per (task, level) population means the generator aims for."""
 
     hr_mean_bpm: float
-    hr_sd: float  # pooled sd from the descriptive table; kept for reference
     rmssd_ms: float
-    rmssd_sd: float
     lhipa_left: float
-    lhipa_left_sd: float
     lhipa_right: float
-    lhipa_right_sd: float
     drive_dev_m: float
-    drive_sd: float
     # secondary-task behavior
     hit_prob: float
     false_positive_prob: float
@@ -61,12 +58,12 @@ class LevelTargets:
 # probabilities are set so n-back performance rates land near 0.96/0.85/0.36
 # and visual-search accuracy near 0.99/0.99/0.95.
 DEFAULT_TARGETS: dict[tuple[TaskKind, LoadLevel], LevelTargets] = {
-    (TaskKind.NBACK, LoadLevel.EASY): LevelTargets(77.49, 12.60, 37.79, 19.50, 2.37, 0.51, 2.38, 0.50, 0.15, 0.08, 0.97, 0.003, 0.9),
-    (TaskKind.NBACK, LoadLevel.MEDIUM): LevelTargets(82.54, 14.17, 31.86, 15.99, 2.34, 0.34, 2.28, 0.31, 0.21, 0.13, 0.88, 0.010, 1.1),
-    (TaskKind.NBACK, LoadLevel.HARD): LevelTargets(82.97, 14.78, 30.34, 14.42, 2.29, 0.30, 2.29, 0.43, 0.23, 0.16, 0.48, 0.040, 1.3),
-    (TaskKind.VISUAL_SEARCH, LoadLevel.EASY): LevelTargets(77.29, 11.81, 38.37, 18.53, 2.30, 0.22, 2.46, 0.58, 0.24, 0.11, 0.99, 0.010, 1.29),
-    (TaskKind.VISUAL_SEARCH, LoadLevel.MEDIUM): LevelTargets(78.58, 12.00, 36.52, 17.20, 2.30, 0.24, 2.39, 0.56, 0.24, 0.12, 0.99, 0.010, 1.44),
-    (TaskKind.VISUAL_SEARCH, LoadLevel.HARD): LevelTargets(78.63, 12.70, 37.70, 19.36, 2.30, 0.24, 2.44, 0.58, 0.27, 0.12, 0.95, 0.010, 1.75),
+    (TaskKind.NBACK, LoadLevel.EASY): LevelTargets(77.49, 37.79, 2.37, 2.38, 0.15, 0.97, 0.003, 0.9),
+    (TaskKind.NBACK, LoadLevel.MEDIUM): LevelTargets(82.54, 31.86, 2.34, 2.28, 0.21, 0.88, 0.010, 1.1),
+    (TaskKind.NBACK, LoadLevel.HARD): LevelTargets(82.97, 30.34, 2.29, 2.29, 0.23, 0.48, 0.040, 1.3),
+    (TaskKind.VISUAL_SEARCH, LoadLevel.EASY): LevelTargets(77.29, 38.37, 2.30, 2.46, 0.24, 0.99, 0.010, 1.29),
+    (TaskKind.VISUAL_SEARCH, LoadLevel.MEDIUM): LevelTargets(78.58, 36.52, 2.30, 2.39, 0.24, 0.99, 0.010, 1.44),
+    (TaskKind.VISUAL_SEARCH, LoadLevel.HARD): LevelTargets(78.63, 37.70, 2.30, 2.44, 0.27, 0.95, 0.010, 1.75),
 }
 
 
@@ -256,6 +253,18 @@ _SCALAR_TYPES = {name: kind for name, kind in get_type_hints(GeneratorConfig).it
 _TARGET_TYPES = get_type_hints(LevelTargets)
 _TASKS = {task.value: task for task in TaskKind}
 _LEVELS = {level.name.lower(): level for level in LoadLevel}
+# [low, high] of each bounded scalar; the duration bounds are validate_segment's
+_RANGES = {
+    "n_participants": (1, math.inf),
+    "hr_baseline_sd": (0.0, math.inf),
+    "rmssd_baseline_sd": (0.0, math.inf),
+    "drive_baseline_sd": (0.0, math.inf),
+    "drive_session_sd": (0.0, math.inf),
+    "hr_rmssd_baseline_corr": (-1.0, 1.0),
+    "duration_min_s": (SEGMENT_MIN_DURATION_S, math.inf),
+    "duration_max_s": (-math.inf, SEGMENT_MAX_DURATION_S),
+    "pupil_noise_mm": (0.0, math.inf),
+}
 
 
 def save_config(config: GeneratorConfig, path: str | Path) -> None:
@@ -303,4 +312,10 @@ def load_config(path: str | Path) -> GeneratorConfig:
         key = max(("duration_min_s", "duration_max_s"), key=lambda k: key_lines.get(k, 0))
         raise ValueError(f"{path}:{key_lines[key]}: key {key!r}: duration_max_s {config.duration_max_s!r} "
                          f"is below duration_min_s {config.duration_min_s!r}")
+    for key, (low, high) in _RANGES.items():
+        value = getattr(config, key)
+        if not low <= value <= high:
+            # every default lies in range, so an out-of-range value was read from a line
+            bound = f"below {low!r}" if value < low else f"above {high!r}"
+            raise ValueError(f"{path}:{key_lines[key]}: key {key!r}: {value!r} is {bound}")
     return config

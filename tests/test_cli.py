@@ -71,6 +71,7 @@ class TestSynth:
     @pytest.mark.parametrize("line", [
         "nback.easy.bogus=1", "nback.extreme.hr_sd=1", "bogus.easy.hr_sd=1", "seed=abc",
         "n_participants=2.5", "pupil_rate_hz=60.0", "n_stimuli=20",
+        "nback.extreme.hr_mean_bpm=1", "bogus.easy.hr_mean_bpm=1", "nback.easy.hr_sd=1",
     ])
     def test_bad_config_line_is_data_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"
@@ -81,6 +82,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("line", [
         "pupil_noise_mm=inf", "nback.easy.lhipa_left=nan", "hr_baseline_sd=nan", "duration_max_s=-5",
+        "hr_rmssd_baseline_corr=2", "pupil_noise_mm=-1", "hr_baseline_sd=-1", "duration_min_s=-5",
     ])
     def test_non_finite_or_inverted_config_value_is_data_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"
@@ -240,6 +242,11 @@ class TestSeedEnvOverride:
         monkeypatch.setenv("LOADSENSE_SEED", "21")
         assert run_cli(["synth", "--out", str(tmp_path), "--participants", "1", "--seed", "4"]) == 0
         assert json.loads((tmp_path / "run.json").read_text())["seed"] == 4
+
+    def test_non_integer_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LOADSENSE_SEED", "abc")
+        assert run_cli(["validate", "--dataset", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "usage: LOADSENSE_SEED must be an integer, got 'abc'\n"
 
 
 class TestInputImmutability:

@@ -1,7 +1,9 @@
-"""Repository-wide reference checks: every public library name has a program
-consumer, and every function the benchmark tracer wraps still exists."""
+"""Repository-wide reference checks: every top-level library function and
+class has a program consumer, every generator setting is read, and every
+function the benchmark tracer wraps still exists."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -18,12 +20,13 @@ ALLOWED_UNREFERENCED = {
 }
 
 
-def _public_definitions() -> dict[str, str]:
-    """Public top-level functions and classes of the package: name -> module file."""
+def _definitions(private: bool) -> dict[str, str]:
+    """Top-level functions and classes of the package, the private ones
+    (leading underscore) or the public ones: name -> module file."""
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private:
                 defined[node.name] = path.name
     return defined
 
@@ -47,13 +50,36 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_every_public_name_has_a_program_consumer():
+def _program_references() -> set[str]:
     referenced = set()
     for directory in PROGRAM_DIRS:
         for path in sorted(directory.glob("*.py")):
             referenced |= _referenced_names(ast.parse(path.read_text()))
-    unreferenced = {name for name in _public_definitions() if name not in referenced}
+    return referenced
+
+
+def test_every_public_name_has_a_program_consumer():
+    referenced = _program_references()
+    unreferenced = {name for name in _definitions(private=False) if name not in referenced}
     assert unreferenced == ALLOWED_UNREFERENCED
+
+
+def test_every_private_name_has_a_program_consumer():
+    referenced = _program_references()
+    assert {name for name in _definitions(private=True) if name not in referenced} == set()
+
+
+def test_every_generator_setting_is_read():
+    """Each GeneratorConfig and LevelTargets field is read as an attribute in
+    the package; save_config's getattr over every field does not count."""
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    synth = importlib.import_module("loadsense.synth")
+    settings = {f.name for cls in (synth.GeneratorConfig, synth.LevelTargets) for f in dataclasses.fields(cls)}
+    assert settings - read == set()
 
 
 def test_tracer_targets_resolve():

@@ -3,6 +3,7 @@ effect directions, null mode, and config round trips."""
 
 import dataclasses
 import math
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -30,13 +31,35 @@ PROTOCOL_CONSTANTS = [
     "n_stimuli", "stimulus_interval_s", "nback_target_fraction", "visual_search_target_fraction",
     "pupil_rate_hz", "pupil_base_mm", "lhipa_reference", "driving_rate_hz", "rt_sd_s",
 ]
+# [low, high] of every bounded scalar setting (None: unbounded); the duration
+# bounds are validate_segment's, and duration_min_s <= duration_max_s besides
+ACCEPTED_RANGES = {
+    "n_participants": (1, None),
+    "hr_baseline_sd": (0.0, None),
+    "rmssd_baseline_sd": (0.0, None),
+    "drive_baseline_sd": (0.0, None),
+    "drive_session_sd": (0.0, None),
+    "hr_rmssd_baseline_corr": (-1.0, 1.0),
+    "duration_min_s": (60.0, 300.0),
+    "duration_max_s": (60.0, 300.0),
+    "pupil_noise_mm": (0.0, None),
+}
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 LEVEL_TARGETS = st.builds(LevelTargets, *[FLOATS] * len(dataclasses.fields(LevelTargets)))
+
+
+def _accepted(name, kind):
+    low, high = ACCEPTED_RANGES.get(name, (None, None))
+    if kind is int:
+        return st.integers(min_value=low, max_value=high)
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
+
+
 # any value load_config accepts in every GeneratorConfig field, targets included:
-# finite floats, and the duration bounds in order
+# finite floats inside ACCEPTED_RANGES, and the duration bounds in order
 CONFIGS = st.builds(GeneratorConfig, **{
     name: st.fixed_dictionaries(dict.fromkeys(DEFAULT_TARGETS, LEVEL_TARGETS)) if name == "targets"
-    else st.integers() if kind is int else FLOATS
+    else _accepted(name, kind)
     for name, kind in get_type_hints(GeneratorConfig).items()
 }).map(lambda c: dataclasses.replace(c, duration_min_s=min(c.duration_min_s, c.duration_max_s),
                                      duration_max_s=max(c.duration_min_s, c.duration_max_s)))
@@ -251,7 +274,11 @@ class TestConfigFiles:
             load_config(tmp_path / "cfg.txt")
 
     @pytest.mark.parametrize(
-        "key", ["nback.easy.bogus", "nback.extreme.hr_sd", "bogus.easy.hr_sd", "nback.easy", "nback.easy.hr_sd.x"]
+        "key", ["nback.easy.bogus", "nback.extreme.hr_sd", "bogus.easy.hr_sd", "nback.easy", "nback.easy.hr_sd.x",
+                "nback.extreme.hr_mean_bpm", "bogus.easy.hr_mean_bpm", "nback.easy.hr_mean_bpm.x",
+                # the pooled per-condition sds were never read, and are no longer keys
+                "nback.easy.hr_sd", "nback.medium.rmssd_sd", "visual_search.hard.lhipa_left_sd",
+                "visual_search.easy.lhipa_right_sd", "nback.hard.drive_sd"]
     )
     def test_unknown_target_key_names_file_line_and_key(self, tmp_path, key):
         (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}=1\n")
@@ -260,7 +287,7 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize(
         "line",
-        ["seed=abc", "seed=7.0", "n_participants=2.5", "hr_baseline_sd=", "nback.easy.hr_sd=1,5"],
+        ["seed=abc", "seed=7.0", "n_participants=2.5", "hr_baseline_sd=", "nback.easy.hr_mean_bpm=1,5"],
     )
     def test_unparsable_value_names_file_line_and_key(self, tmp_path, line):
         key = line.split("=")[0]
@@ -286,6 +313,45 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match=rf"cfg.txt:{line}: key '{key}': duration_max_s .* is below duration_min_s"):
             load_config(tmp_path / "cfg.txt")
 
+    @pytest.mark.parametrize("line, bound", [
+        ("n_participants=0", "0 is below 1"),
+        ("hr_baseline_sd=-1", "-1.0 is below 0.0"),
+        ("rmssd_baseline_sd=-0.5", "-0.5 is below 0.0"),
+        ("drive_baseline_sd=-1e-9", "-1e-09 is below 0.0"),
+        ("drive_session_sd=-1", "-1.0 is below 0.0"),
+        ("pupil_noise_mm=-1", "-1.0 is below 0.0"),
+        ("hr_rmssd_baseline_corr=2", "2.0 is above 1.0"),
+        ("hr_rmssd_baseline_corr=-1.5", "-1.5 is below -1.0"),
+        ("duration_min_s=-5", "-5.0 is below 60.0"),
+        ("duration_min_s=59.5", "59.5 is below 60.0"),
+        ("duration_max_s=300.5", "300.5 is above 300.0"),
+    ])
+    def test_out_of_range_value_names_file_line_and_key(self, tmp_path, line, bound):
+        key = line.split("=")[0]
+        (tmp_path / "cfg.txt").write_text(f"seed=3\n{line}\n")
+        with pytest.raises(ValueError, match=rf"cfg.txt:2: key '{key}': {re.escape(bound)}$"):
+            load_config(tmp_path / "cfg.txt")
+
+    @pytest.mark.parametrize("line", [
+        "n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
+        "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=-1", "hr_rmssd_baseline_corr=1",
+        "duration_min_s=60", "duration_max_s=300",
+    ])
+    def test_value_on_its_bound_is_accepted(self, tmp_path, line):
+        key, value = line.split("=")
+        (tmp_path / "cfg.txt").write_text(f"{line}\n")
+        assert getattr(load_config(tmp_path / "cfg.txt"), key) == float(value)
+
+    def test_config_on_its_bounds_generates_valid_segments(self, tmp_path):
+        # the lower duration bound is left out: the 40-stimulus protocol runs ~121 s
+        lines = ["n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
+                 "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=1",
+                 "duration_min_s=300", "duration_max_s=300"]
+        (tmp_path / "cfg.txt").write_text("\n".join(lines) + "\n")
+        dataset = generate_dataset(load_config(tmp_path / "cfg.txt"))
+        assert len(dataset.segments) == 6
+        assert not [i for seg in dataset.segments for i in validate_segment(seg) if i.is_error]
+
     def test_equal_duration_bounds_are_accepted(self, tmp_path):
         (tmp_path / "cfg.txt").write_text("duration_min_s=150\nduration_max_s=150\n")
         config = load_config(tmp_path / "cfg.txt")
@@ -297,6 +363,7 @@ class TestConfigFiles:
         scalars = [f.name for f in dataclasses.fields(GeneratorConfig) if f.name != "targets"]
         assert keys[: len(scalars)] == scalars
         assert len(scalars) == 10
+        assert len(keys) == 10 + 6 * 8
         assert len(keys) == len(scalars) + len(DEFAULT_TARGETS) * len(dataclasses.fields(LevelTargets))
 
     @settings(max_examples=100, deadline=None)
