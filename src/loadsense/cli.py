@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth | validate | features | stats | train | evaluate | report.
-Exit codes: 0 success, 1 data error, 2 usage error.  Every run writes a
-run.json provenance record (command, seed, config hash) into --out.
+Exit codes: 0 success, 1 data error, 2 usage error.  Every command but validate
+and report writes a run.json provenance record (command, seed, config hash)
+into --out.  Skipped segments and segment warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_SEED, FORMAT_VERSION
-from .core import DatasetError, TaskKind, load_dataset, validate_dataset, validate_segment, write_dataset
+from .core import DatasetError, TaskKind, load_dataset, validate_dataset, write_dataset
 from .evaluate import (
     FEATURE_SUBSETS,
     FeatureRow,
@@ -45,17 +46,6 @@ from .core import FEATURE_NAMES, LoadLevel
 from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
 
 TASK_NAMES = {"nback": TaskKind.NBACK, "visual_search": TaskKind.VISUAL_SEARCH}
-
-
-def _default_seed() -> int:
-    env = os.environ.get("LOADSENSE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"usage: LOADSENSE_SEED must be an integer, got {env!r}", file=sys.stderr)
-            raise SystemExit(2)
-    return DEFAULT_SEED
 
 
 def _write_run_record(out_dir: Path, argv: list[str], seed: int, config: dict) -> None:
@@ -108,17 +98,17 @@ def cmd_synth(args, argv) -> int:
 
 
 def cmd_validate(args, argv) -> int:
-    dataset = _load(args)
-    n_issues = 0
-    for seg in dataset.segments:
-        for issue in validate_segment(seg):
-            n_issues += 1
-            print(f"{seg.participant_id}/{seg.task.value}_{seg.level.name.lower()}: "
-                  f"{issue.severity}: {issue.message}")
-    for issue in validate_dataset(dataset):
-        n_issues += 1
+    reported: list[str] = []
+
+    def report(msg: str) -> None:
+        print(msg, file=sys.stderr)
+        reported.append(msg)
+
+    dataset = load_dataset(args.dataset, strict=args.strict, report=report)
+    issues = validate_dataset(dataset)
+    for issue in issues:
         print(f"dataset: {issue.severity}: {issue.message}")
-    print(f"{len(dataset.segments)} segments, {n_issues} issues")
+    print(f"{len(dataset.segments)} segments, {len(reported) + len(issues)} issues")
     return 0
 
 
@@ -235,12 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loadsense")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, dataset=True):
+    def common(p, dataset=True, out=True):
         if dataset:
             p.add_argument("--dataset", required=True)
-            p.add_argument("--strict", action="store_true")
-        p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=_default_seed())
+            p.add_argument("--strict", action="store_true", help="exit 1 on a segment that would be skipped")
+        if out:
+            p.add_argument("--out", default="out")
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset tree")
     common(p, dataset=False)
@@ -249,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null", action="store_true", help="zero all level effects")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("validate", help="report segment and dataset issues")
-    common(p)
+    p = sub.add_parser("validate", help="count segment and dataset issues")
+    common(p, out=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("features", help="extract the 8-feature table")
@@ -285,10 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str]) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "seed", DEFAULT_SEED) is None:  # a seed-taking command without --seed
+        env = os.environ.get("LOADSENSE_SEED", str(DEFAULT_SEED))
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"usage: LOADSENSE_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args, argv)
     except (DatasetError, ValueError, OSError) as exc:

@@ -131,13 +131,6 @@ class SessionSegment:
 class Dataset:
     segments: tuple[SessionSegment, ...]
 
-    @property
-    def participants(self) -> dict[str, list[SessionSegment]]:
-        index: dict[str, list[SessionSegment]] = {}
-        for seg in self.segments:
-            index.setdefault(seg.participant_id, []).append(seg)
-        return index
-
 
 FEATURE_NAMES = (
     "hr_mean",
@@ -282,21 +275,13 @@ def validate_segment(seg: SessionSegment) -> list[Issue]:
 
 
 def validate_dataset(dataset: Dataset) -> list[Issue]:
-    """Cross-segment checks: duplicate conditions and incomplete n-back coverage."""
-    issues: list[Issue] = []
-    seen: set[tuple[str, TaskKind, LoadLevel]] = set()
+    """Cross-segment check: a participant with n-back segments has all three levels."""
+    nback_levels: dict[str, set[LoadLevel]] = {}
     for seg in dataset.segments:
-        key = (seg.participant_id, seg.task, seg.level)
-        if key in seen:
-            issues.append(
-                Issue("error", f"duplicate segment {seg.participant_id}/{seg.task.value}/{seg.level.name.lower()}")
-            )
-        seen.add(key)
-    for pid, segs in dataset.participants.items():
-        levels = {s.level for s in segs if s.task is TaskKind.NBACK}
-        if levels and levels != {LoadLevel.EASY, LoadLevel.MEDIUM, LoadLevel.HARD}:
-            issues.append(Issue("warning", f"participant {pid} lacks a complete n-back level set"))
-    return issues
+        if seg.task is TaskKind.NBACK:
+            nback_levels.setdefault(seg.participant_id, set()).add(seg.level)
+    return [Issue("warning", f"participant {pid} lacks a complete n-back level set")
+            for pid, levels in nback_levels.items() if levels != set(LoadLevel)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +433,10 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
 def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Dataset:
     """Load a dataset tree.
 
-    Lenient mode (default) skips segments that fail validation and reports
-    them through `report` (a callable taking a message string); strict mode
-    aborts on the first bad segment.
+    Lenient mode (default) skips a segment that fails validation or repeats a
+    (participant, task, level) and reports it through `report` (a callable
+    taking a message string); strict mode aborts on the first such segment.
+    Both report each warning of a kept segment.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -466,7 +452,8 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
     for seg_dir in seg_dirs:
         try:
             seg = _load_segment_dir(seg_dir)
-            errors = [i for i in validate_segment(seg) if i.is_error]
+            issues = validate_segment(seg)
+            errors = [i for i in issues if i.is_error]
             if errors:
                 raise DatasetError(f"{seg_dir}: {errors[0].message}")
             key = (seg.participant_id, seg.task, seg.level)
@@ -477,6 +464,8 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
                 raise
             report(f"skipping segment: {exc}")
             continue
+        for issue in issues:  # a kept segment's issues are all warnings
+            report(f"warning: {seg_dir}: {issue.message}")
         seen.add(key)
         segments.append(seg)
 

@@ -136,7 +136,6 @@ class EvaluationReport:
     task: TaskKind
     scheme: str  # "multi" | "binary"
     cells: dict[tuple[str, str], tuple[float, float]]  # (model, subset) -> (mean%, std%)
-    chance_percent: float
     seed: int
     n_folds: int
 
@@ -250,12 +249,10 @@ def run_nested_cv(
             std = float(accs.std(ddof=1)) * 100.0 if len(accs) > 1 else 0.0
             cells[(kind, subset_name)] = (mean, std)
 
-    chance = 100.0 / 3.0 if scheme == "multi" else 50.0
     return EvaluationReport(
         task=task,
         scheme=scheme,
         cells=cells,
-        chance_percent=chance,
         seed=plan.seed,
         n_folds=len(plan.folds),
     )

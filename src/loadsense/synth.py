@@ -9,7 +9,7 @@ so the decomposition is explicit.
 
 generator_config.txt records every GeneratorConfig field, so that file and
 the seed reproduce a tree.  The protocol and sensors are fixed constants:
-N_STIMULI, STIMULUS_INTERVAL_S, NBACK_TARGET_FRACTION,
+FIRST_ONSET_S, N_STIMULI, STIMULUS_INTERVAL_S, NBACK_TARGET_FRACTION,
 VISUAL_SEARCH_TARGET_FRACTION, PUPIL_RATE_HZ, PUPIL_BASE_MM, LHIPA_REFERENCE,
 DRIVING_RATE_HZ, RT_SD_S and driving.DEFAULT_SPEED_MPS.
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     SEGMENT_MAX_DURATION_S,
-    SEGMENT_MIN_DURATION_S,
     Dataset,
     EventKind,
     LoadLevel,
@@ -68,8 +67,11 @@ DEFAULT_TARGETS: dict[tuple[TaskKind, LoadLevel], LevelTargets] = {
 
 
 # Fixed session protocol and sensor constants.
+FIRST_ONSET_S = 1.0
 N_STIMULI = 40
 STIMULUS_INTERVAL_S = 3.0  # 2000 ms presentation + 1000 ms pause
+# the last stimulus window ends here, after every response (<= 2.9 s after onset)
+PROTOCOL_SPAN_S = FIRST_ONSET_S + N_STIMULI * STIMULUS_INTERVAL_S
 NBACK_TARGET_FRACTION = 0.25
 VISUAL_SEARCH_TARGET_FRACTION = 0.5
 PUPIL_RATE_HZ = 120.0
@@ -186,7 +188,7 @@ def _synth_events(rng, task: TaskKind, targets: LevelTargets):
     is_target[rng.permutation(N_STIMULI)[:n_targets]] = True
     events: list[TaskEvent] = []
     for i in range(N_STIMULI):
-        onset = 1.0 + i * STIMULUS_INTERVAL_S
+        onset = FIRST_ONSET_S + i * STIMULUS_INTERVAL_S
         kind = EventKind.TARGET_PRESENT if is_target[i] else EventKind.TARGET_ABSENT
         events.append(TaskEvent(onset, kind, payload=f"s{i}"))
         respond = rng.random() < (targets.hit_prob if is_target[i] else targets.false_positive_prob)
@@ -253,7 +255,7 @@ _SCALAR_TYPES = {name: kind for name, kind in get_type_hints(GeneratorConfig).it
 _TARGET_TYPES = get_type_hints(LevelTargets)
 _TASKS = {task.value: task for task in TaskKind}
 _LEVELS = {level.name.lower(): level for level in LoadLevel}
-# [low, high] of each bounded scalar; the duration bounds are validate_segment's
+# [low, high] of each bounded scalar; a segment holds the whole protocol
 _RANGES = {
     "n_participants": (1, math.inf),
     "hr_baseline_sd": (0.0, math.inf),
@@ -261,7 +263,7 @@ _RANGES = {
     "drive_baseline_sd": (0.0, math.inf),
     "drive_session_sd": (0.0, math.inf),
     "hr_rmssd_baseline_corr": (-1.0, 1.0),
-    "duration_min_s": (SEGMENT_MIN_DURATION_S, math.inf),
+    "duration_min_s": (PROTOCOL_SPAN_S, math.inf),
     "duration_max_s": (-math.inf, SEGMENT_MAX_DURATION_S),
     "pupil_noise_mm": (0.0, math.inf),
 }

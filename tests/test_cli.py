@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_segment
+from loadsense import core
 from loadsense.cli import run_cli
 from loadsense.core import Dataset, TaskKind, load_dataset, write_dataset
 from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
@@ -112,7 +114,7 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_bad_dataset_is_data_error(self, tmp_path, capsys):
-        code = run_cli(["validate", "--dataset", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
+        code = run_cli(["validate", "--dataset", str(tmp_path / "nowhere")])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
@@ -146,6 +148,55 @@ class TestFeaturesAndStats:
         assert run_cli(["validate", "--dataset", str(dataset_dir)]) == 0
         out = capsys.readouterr().out
         assert "72 segments" in out
+
+    def test_validate_counts_skipped_segments(self, tmp_path, capsys):
+        assert run_cli(["synth", "--out", str(tmp_path), "--participants", "3", "--seed", "7"]) == 0
+        rr = tmp_path / "dataset" / "p000" / "nback_easy" / "rr.csv"
+        lines = rr.read_text().splitlines()
+        lines[2] = "5.0,-1"
+        rr.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["validate", "--dataset", str(tmp_path / "dataset")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ("dataset: warning: participant p000 lacks a complete n-back level set\n"
+                                "17 segments, 2 issues\n")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"skipping segment: {rr.parent}: ")
+
+    def test_validate_checks_each_segment_once(self, tiny_dataset, tmp_path, capsys):
+        write_dataset(tiny_dataset, tmp_path)
+        code = core.validate_segment.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert run_cli(["validate", "--dataset", str(tmp_path)]) == 0
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) == len(list(tmp_path.glob("*/*/manifest.json"))) == 12
+        assert capsys.readouterr().out == "12 segments, 0 issues\n"
+
+    def test_validate_takes_no_out_or_seed(self, tmp_path):
+        for flag, value in (("--out", str(tmp_path / "out")), ("--seed", "9")):
+            assert run_cli(["validate", "--dataset", str(tmp_path), flag, value]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_features_names_a_kept_segments_warning(self, tmp_path, capsys):
+        pupil = np.array(make_segment().pupil_left)
+        pupil[np.arange(len(pupil)) % 10 < 4, 2] = 0.0
+        write_dataset(Dataset(segments=(make_segment(pupil_left=pupil),)), tmp_path / "ds")
+        assert run_cli(["features", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (f"warning: {tmp_path / 'ds' / 'p000' / 'nback_easy'}: "
+                                           "pupil_left: pupil gap fraction 0.40 > 0.25\n")
+        lines = (tmp_path / "out" / "features.csv").read_text().splitlines()
+        header, row = lines[2].split(","), lines[3].split(",")
+        assert row[header.index("lhipa_left")] == ""
+        assert row[header.index("lhipa_right")] != ""
 
 
 def _reference_train_json(rows, task, scheme, subset_name, seed):
@@ -245,8 +296,22 @@ class TestSeedEnvOverride:
 
     def test_non_integer_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LOADSENSE_SEED", "abc")
-        assert run_cli(["validate", "--dataset", str(tmp_path)]) == 2
+        assert run_cli(["features", "--dataset", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "usage: LOADSENSE_SEED must be an integer, got 'abc'\n"
+
+    def test_non_integer_env_is_not_read_by_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LOADSENSE_SEED", "abc")
+        (tmp_path / "r.csv").write_text("a,b\n")
+        assert run_cli(["report", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr() == ("a,b\n", "")
+
+    def test_non_integer_env_is_not_read_with_explicit_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LOADSENSE_SEED", "abc")
+        write_dataset(Dataset(segments=(make_segment(),)), tmp_path / "ds")
+        assert run_cli(["features", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out"),
+                        "--seed", "4"]) == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["seed"] == 4
+        assert capsys.readouterr().err == ""
 
 
 class TestInputImmutability:

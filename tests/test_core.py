@@ -110,10 +110,6 @@ class TestPupilGapFraction:
 
 
 class TestValidateDataset:
-    def test_duplicate_condition_is_an_error(self, clean_segment):
-        ds = Dataset(segments=(clean_segment, clean_segment))
-        assert any("duplicate" in i.message for i in validate_dataset(ds) if i.is_error)
-
     def test_incomplete_nback_levels_warn(self):
         ds = Dataset(segments=(make_segment(level=LoadLevel.EASY),))
         warnings = [i for i in validate_dataset(ds) if not i.is_error]
@@ -162,7 +158,7 @@ class TestLoadDataset:
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
         ds = load_dataset(tmp_path)
         assert len(ds.segments) == 1
-        assert set(ds.participants) == {"p000"}
+        assert {seg.participant_id for seg in ds.segments} == {"p000"}
 
     def test_unknown_level_names_file_and_field(self, clean_segment, tmp_path):
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
@@ -189,6 +185,27 @@ class TestLoadDataset:
         ds = load_dataset(tmp_path, report=messages.append)
         assert len(ds.segments) == len(tiny_dataset.segments) - 1
         assert len(messages) == 1 and "rr.csv" in messages[0]
+
+    def test_repeated_condition_is_skipped_and_reported(self, clean_segment, tmp_path):
+        write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
+        copy = tmp_path / "p000" / "nback_easy_copy"
+        copy.mkdir()
+        for src in (tmp_path / "p000" / "nback_easy").iterdir():
+            (copy / src.name).write_bytes(src.read_bytes())
+        messages = []
+        ds = load_dataset(tmp_path, report=messages.append)
+        assert ds.segments == (clean_segment,)
+        assert messages == [f"skipping segment: {copy}: duplicate (participant, task, level)"]
+
+    def test_kept_segment_warnings_are_reported(self, clean_segment, tmp_path):
+        seg = dataclasses.replace(clean_segment, rr_intervals=clean_segment.rr_intervals[:MIN_RR_COUNT_WARN - 1])
+        write_dataset(Dataset(segments=(seg,)), tmp_path)
+        for strict in (False, True):
+            messages = []
+            ds = load_dataset(tmp_path, strict=strict, report=messages.append)
+            assert ds.segments == (seg,)
+            assert messages == [f"warning: {tmp_path / 'p000' / 'nback_easy'}: "
+                                f"fewer than {MIN_RR_COUNT_WARN} RR intervals"]
 
     def test_strict_mode_raises_on_bad_header(self, tiny_dataset, tmp_path):
         write_dataset(tiny_dataset, tmp_path)

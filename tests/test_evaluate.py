@@ -245,7 +245,7 @@ class TestNestedCv:
         rows = small_feature_rows(n_participants=12)  # enough binary rows for k=9 KNN
         plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=0)
         rep = run_nested_cv(rows, TaskKind.NBACK, "binary", plan, subsets=("heart",))
-        assert rep.chance_percent == 50.0
+        assert "The random chance level is 50%." in render_report(rep, "txt")
         assert rep.scheme == "binary"
         kept = evaluate._rows_for_task(rows, TaskKind.NBACK, "binary")
         assert {r.level for r in kept} == {LoadLevel.EASY, LoadLevel.MEDIUM}
@@ -335,7 +335,6 @@ def dummy_report(scheme="multi"):
         task=TaskKind.NBACK,
         scheme=scheme,
         cells=cells,
-        chance_percent=100.0 / 3.0 if scheme == "multi" else 50.0,
         seed=7,
         n_folds=5,
     )

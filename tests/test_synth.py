@@ -28,11 +28,12 @@ from loadsense.synth import (
 
 
 PROTOCOL_CONSTANTS = [
-    "n_stimuli", "stimulus_interval_s", "nback_target_fraction", "visual_search_target_fraction",
+    "first_onset_s", "n_stimuli", "stimulus_interval_s", "nback_target_fraction", "visual_search_target_fraction",
     "pupil_rate_hz", "pupil_base_mm", "lhipa_reference", "driving_rate_hz", "rt_sd_s",
 ]
-# [low, high] of every bounded scalar setting (None: unbounded); the duration
-# bounds are validate_segment's, and duration_min_s <= duration_max_s besides
+# [low, high] of every bounded scalar setting (None: unbounded); a segment holds
+# the 121-s protocol and stays within validate_segment's 300 s, and
+# duration_min_s <= duration_max_s besides
 ACCEPTED_RANGES = {
     "n_participants": (1, None),
     "hr_baseline_sd": (0.0, None),
@@ -40,8 +41,8 @@ ACCEPTED_RANGES = {
     "drive_baseline_sd": (0.0, None),
     "drive_session_sd": (0.0, None),
     "hr_rmssd_baseline_corr": (-1.0, 1.0),
-    "duration_min_s": (60.0, 300.0),
-    "duration_max_s": (60.0, 300.0),
+    "duration_min_s": (121.0, 300.0),
+    "duration_max_s": (121.0, 300.0),
     "pupil_noise_mm": (0.0, None),
 }
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -80,7 +81,7 @@ def level_means(rows, task, dimension):
 class TestStructure:
     def test_full_config_produces_valid_segments(self):
         ds = generate_dataset(GeneratorConfig(seed=0, n_participants=45))
-        assert len(ds.participants) == 45
+        assert len({seg.participant_id for seg in ds.segments}) == 45
         assert len(ds.segments) == 45 * 6
         for seg in ds.segments[:12]:  # validating all 270 is slow; spot-check 2 participants
             assert not any(i.is_error for i in validate_segment(seg))
@@ -322,8 +323,9 @@ class TestConfigFiles:
         ("pupil_noise_mm=-1", "-1.0 is below 0.0"),
         ("hr_rmssd_baseline_corr=2", "2.0 is above 1.0"),
         ("hr_rmssd_baseline_corr=-1.5", "-1.5 is below -1.0"),
-        ("duration_min_s=-5", "-5.0 is below 60.0"),
-        ("duration_min_s=59.5", "59.5 is below 60.0"),
+        ("duration_min_s=-5", "-5.0 is below 121.0"),
+        ("duration_min_s=59.5", "59.5 is below 121.0"),
+        ("duration_min_s=120.5", "120.5 is below 121.0"),
         ("duration_max_s=300.5", "300.5 is above 300.0"),
     ])
     def test_out_of_range_value_names_file_line_and_key(self, tmp_path, line, bound):
@@ -335,7 +337,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("line", [
         "n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
         "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=-1", "hr_rmssd_baseline_corr=1",
-        "duration_min_s=60", "duration_max_s=300",
+        "duration_min_s=121", "duration_max_s=300",
     ])
     def test_value_on_its_bound_is_accepted(self, tmp_path, line):
         key, value = line.split("=")
@@ -343,14 +345,14 @@ class TestConfigFiles:
         assert getattr(load_config(tmp_path / "cfg.txt"), key) == float(value)
 
     def test_config_on_its_bounds_generates_valid_segments(self, tmp_path):
-        # the lower duration bound is left out: the 40-stimulus protocol runs ~121 s
-        lines = ["n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
-                 "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=1",
-                 "duration_min_s=300", "duration_max_s=300"]
-        (tmp_path / "cfg.txt").write_text("\n".join(lines) + "\n")
-        dataset = generate_dataset(load_config(tmp_path / "cfg.txt"))
-        assert len(dataset.segments) == 6
-        assert not [i for seg in dataset.segments for i in validate_segment(seg) if i.is_error]
+        for duration in ("121", "300"):
+            lines = ["n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
+                     "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=1",
+                     f"duration_min_s={duration}", f"duration_max_s={duration}"]
+            (tmp_path / "cfg.txt").write_text("\n".join(lines) + "\n")
+            dataset = generate_dataset(load_config(tmp_path / "cfg.txt"))
+            assert len(dataset.segments) == 6
+            assert not [i for seg in dataset.segments for i in validate_segment(seg) if i.is_error]
 
     def test_equal_duration_bounds_are_accepted(self, tmp_path):
         (tmp_path / "cfg.txt").write_text("duration_min_s=150\nduration_max_s=150\n")
