@@ -11,7 +11,11 @@ A dataset on disk is a directory tree::
         events.csv        t_s,kind,payload
 
 All numerics are decimal with '.' separator, UTF-8, LF line endings.
-Floats are written with repr() so a write/load round trip is bit-exact.
+Floats are written with repr() so a write/load round trip is bit-exact;
+`write_dataset` formats each channel column once and joins the rows from
+the formatted columns.  A generated tree holds fixed-resolution values
+(synth rounds each channel to a sensor's resolution), so its cells are
+short, but any float64 is written exactly.
 
 In memory each sample channel of a `SessionSegment` is one read-only
 float64 array with the CSV's columns (target_lane included); events stay a
@@ -436,6 +440,7 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
     Lenient mode (default) skips a segment that fails validation or repeats a
     (participant, task, level) and reports it through `report` (a callable
     taking a message string); strict mode aborts on the first such segment.
+    A skipped segment's one message names all of its errors, joined by "; ".
     Both report each warning of a kept segment.
     """
     root = Path(root_path)
@@ -455,7 +460,7 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
             issues = validate_segment(seg)
             errors = [i for i in issues if i.is_error]
             if errors:
-                raise DatasetError(f"{seg_dir}: {errors[0].message}")
+                raise DatasetError(f"{seg_dir}: " + "; ".join(e.message for e in errors))
             key = (seg.participant_id, seg.task, seg.level)
             if key in seen:
                 raise DatasetError(f"{seg_dir}: duplicate (participant, task, level)")
@@ -501,10 +506,13 @@ def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
         }
         (seg_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         for name, (file, header) in CHANNEL_FILES.items():
-            rows = getattr(seg, name).tolist()
-            if name == "driving":
-                rows = ((t, lateral, int(lane)) for t, lateral, lane in rows)
-            _write_csv(seg_dir / file, header, rows)
+            # each column is formatted once: repr() of a float reads back
+            # bit-exactly, and a lane is written as the int it holds
+            columns = [list(map(str, map(int, column.tolist()))) if col_name == "target_lane"
+                       else list(map(repr, column.tolist()))
+                       for col_name, column in zip(header, getattr(seg, name).T)]
+            lines = [",".join(header), *map(",".join, zip(*columns))]
+            (seg_dir / file).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         _write_csv(
             seg_dir / "events.csv",
             ["t_s", "kind", "payload"],

@@ -13,6 +13,19 @@ FIRST_ONSET_S, N_STIMULI, STIMULUS_INTERVAL_S, NBACK_TARGET_FRACTION,
 VISUAL_SEARCH_TARGET_FRACTION, PUPIL_RATE_HZ, PUPIL_BASE_MM, LHIPA_REFERENCE,
 DRIVING_RATE_HZ, RT_SD_S and driving.DEFAULT_SPEED_MPS.
 
+Every sampled channel is rounded here to the resolution a real sensor
+records, so the in-memory dataset equals the tree `write_dataset` writes:
+
+- RR_DECIMALS = 0: RR intervals in whole milliseconds; an onset is the
+  cumulative sum of whole-ms intervals, so onsets are exact ms too;
+- TIME_DECIMALS = 4: pupil and driving sample times on a 0.1 ms clock;
+- DIAMETER_DECIMALS = 3: pupil diameter in micrometres (after the 0.5 mm
+  floor);
+- LATERAL_DECIMALS = 3: lateral position in millimetres.
+
+Confidence (0 or 1), target lanes, event times and duration_s are not
+rounded.
+
 Per-participant RNG streams are derived from (seed, participant index), so
 output is independent of generation order and byte-identical per seed.
 """
@@ -79,6 +92,11 @@ PUPIL_BASE_MM = 4.0
 LHIPA_REFERENCE = 2.38  # index produced by the default pupil_noise_mm
 DRIVING_RATE_HZ = 33.0
 RT_SD_S = 0.18
+# decimals each sampled channel is rounded to (see the module docstring)
+RR_DECIMALS = 0
+TIME_DECIMALS = 4
+DIAMETER_DECIMALS = 3
+LATERAL_DECIMALS = 3
 
 
 @dataclass(frozen=True)
@@ -130,7 +148,7 @@ def _synth_rr(rng, duration_s: float, hr_bpm: float, rmssd_ms: float):
     n_max = int(duration_s * 1000.0 / (mean_rr - 3.2 * jitter_sd)) + 2
     # truncate jitter at 3.2 sd so successive jumps stay inside cleaning bounds
     jitter = np.clip(rng.normal(0.0, jitter_sd, size=n_max), -3.2 * jitter_sd, 3.2 * jitter_sd)
-    rr = mean_rr + jitter
+    rr = np.round(mean_rr + jitter, RR_DECIMALS)
     onsets = np.cumsum(rr) / 1000.0
     keep = onsets <= duration_s
     return np.column_stack((onsets[keep], rr[keep]))
@@ -138,7 +156,7 @@ def _synth_rr(rng, duration_s: float, hr_bpm: float, rmssd_ms: float):
 
 def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float, lhipa_target: float):
     n = int(duration_s * PUPIL_RATE_HZ)
-    t = np.arange(n) / PUPIL_RATE_HZ
+    t = np.round(np.arange(n) / PUPIL_RATE_HZ, TIME_DECIMALS)
     signal = np.full(n, base_mm)
     for _ in range(3):
         freq = rng.uniform(0.1, 0.5)
@@ -147,7 +165,7 @@ def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float
         signal += amp * np.sin(2.0 * math.pi * freq * t + phase)
     noise_sd = config.pupil_noise_mm * lhipa_target / LHIPA_REFERENCE
     signal += rng.normal(0.0, noise_sd, size=n)
-    signal = np.maximum(signal, 0.5)
+    signal = np.round(np.maximum(signal, 0.5), DIAMETER_DECIMALS)
     confidence = np.ones(n)
     # a few sub-500 ms tracking dropouts
     for _ in range(rng.poisson(3.0)):
@@ -170,10 +188,10 @@ def _synth_driving(rng, duration_s: float, dev_target_m: float):
         s += rng.uniform(120.0, 200.0)
     path = build_ideal_path(change_points)
     n = int(duration_s * DRIVING_RATE_HZ)
-    t = np.arange(n) / DRIVING_RATE_HZ
+    t = np.round(np.arange(n) / DRIVING_RATE_HZ, TIME_DECIMALS)
     s_grid = DEFAULT_SPEED_MPS * t
     noise_sd = dev_target_m * math.sqrt(math.pi / 2.0)
-    lateral = path.offset(s_grid) + rng.normal(0.0, noise_sd, size=n)
+    lateral = np.round(path.offset(s_grid) + rng.normal(0.0, noise_sd, size=n), LATERAL_DECIMALS)
     lanes = np.zeros(n, dtype=int)
     lanes[:] = change_points[0][1] if change_points else 1
     for cp_s, _, to_lane in change_points:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_segment
-from loadsense import core
+from loadsense import FORMAT_VERSION, core
 from loadsense.cli import run_cli
 from loadsense.core import Dataset, TaskKind, load_dataset, write_dataset
 from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
@@ -134,7 +134,7 @@ class TestFeaturesAndStats:
     def test_features_writes_header_and_rows(self, dataset_dir, tmp_path):
         assert run_cli(["features", "--dataset", str(dataset_dir), "--out", str(tmp_path), "--seed", "5"]) == 0
         lines = (tmp_path / "features.csv").read_text().splitlines()
-        assert lines[0] == "# format_version=1"
+        assert lines[0] == f"# format_version={FORMAT_VERSION}"
         assert lines[1] == "# seed=5"
         assert lines[2].startswith("participant,task,level,hr_mean")
         assert len(lines) == 3 + 12 * 6
@@ -162,6 +162,9 @@ class TestFeaturesAndStats:
                                 "17 segments, 2 issues\n")
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"skipping segment: {rr.parent}: ")
+        # the one skip line names both faults of the edited row
+        assert "rr: timestamps not strictly increasing at t=" in captured.err
+        assert "; non-positive RR interval -1.0" in captured.err
 
     def test_validate_checks_each_segment_once(self, tiny_dataset, tmp_path, capsys):
         write_dataset(tiny_dataset, tmp_path)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import json
 import math
 import tempfile
 import warnings
@@ -38,6 +39,7 @@ from loadsense.core import (
     validate_segment,
     write_dataset,
 )
+from loadsense.synth import GeneratorConfig, generate_dataset
 
 
 class TestValidateSegment:
@@ -206,6 +208,22 @@ class TestLoadDataset:
             assert ds.segments == (seg,)
             assert messages == [f"warning: {tmp_path / 'p000' / 'nback_easy'}: "
                                 f"fewer than {MIN_RR_COUNT_WARN} RR intervals"]
+
+    def test_skipped_segment_names_every_error(self, clean_segment, tmp_path):
+        rr = np.array(clean_segment.rr_intervals)
+        rr[1] = (5.0, -1.0)  # a time past the next one and a non-positive interval
+        seg = dataclasses.replace(clean_segment, rr_intervals=rr)
+        write_dataset(Dataset(segments=(seg,)), tmp_path)
+        errors = [i.message for i in validate_segment(seg) if i.is_error]
+        assert len(errors) == 2
+        want = f"{tmp_path / 'p000' / 'nback_easy'}: {errors[0]}; {errors[1]}"
+        messages = []
+        with pytest.raises(DatasetError, match="no segments found"):
+            load_dataset(tmp_path, report=messages.append)
+        assert messages == [f"skipping segment: {want}"]
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(tmp_path, strict=True)
+        assert str(exc.value) == want
 
     def test_strict_mode_raises_on_bad_header(self, tiny_dataset, tmp_path):
         write_dataset(tiny_dataset, tmp_path)
@@ -577,7 +595,7 @@ class TestReaderFuzz:
             except DatasetError as exc:
                 seg = dataclasses.replace(base, **{field: want})
                 errors = [i.message for i in validate_segment(seg) if i.is_error]
-                assert errors and str(exc) == f"{seg_dir}: {errors[0]}"
+                assert errors and str(exc) == f"{seg_dir}: " + "; ".join(errors)
                 return
             assert increasing
             assert loaded == dataclasses.replace(base, **{field: want})
@@ -703,3 +721,75 @@ class TestCanonicalDeclines:
             warnings.simplefilter("error")
             assert _read_canonical(path, header) is None
             assert _outcome(_read_csv, path, header) == _outcome(_fallback_read, path, header)
+
+
+# ---------------------------------------------------------------------------
+# The row-at-a-time writer that the column-wise `write_dataset` replaced,
+# kept as its oracle: every file the two write must match byte for byte.
+
+
+def _reference_write_csv(path: Path, header: list[str], rows: Iterable) -> None:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _reference_write_dataset(dataset: Dataset, root_path: Path) -> None:
+    for seg in dataset.segments:
+        seg_dir = Path(root_path) / seg.participant_id / f"{seg.task.value}_{seg.level.name.lower()}"
+        seg_dir.mkdir(parents=True, exist_ok=True)
+        manifest = {
+            "participant": seg.participant_id,
+            "task": seg.task.value,
+            "level": seg.level.name.lower(),
+            "duration_s": seg.duration_s,
+        }
+        (seg_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        for name, (file, header) in CHANNEL_FILES.items():
+            rows = getattr(seg, name).tolist()
+            if name == "driving":
+                rows = ((t, lateral, int(lane)) for t, lateral, lane in rows)
+            _reference_write_csv(seg_dir / file, header, rows)
+        _reference_write_csv(
+            seg_dir / "events.csv",
+            ["t_s", "kind", "payload"],
+            ((e.t_s, e.kind.value, e.payload or "") for e in seg.events),
+        )
+
+
+def _tree_bytes(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# doubles whose repr takes each form: NaN, the infinities, signed zero, a
+# subnormal, exponent forms both ways, the extremes
+WRITER_EDGE_DOUBLES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 1.5e-07,
+                       1.7976931348623157e308, -1.7976931348623157e308, 0.1, 123456789.0, 9999999999999998.0]
+ANY_DOUBLES = st.one_of(st.sampled_from(WRITER_EDGE_DOUBLES), st.floats())
+
+
+class TestColumnWriterOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(ANY_DOUBLES, ANY_DOUBLES), max_size=8),
+        st.lists(st.tuples(ANY_DOUBLES, ANY_DOUBLES, ANY_DOUBLES), max_size=8),
+        st.lists(st.tuples(ANY_DOUBLES, ANY_DOUBLES, ANY_DOUBLES), max_size=8),
+        st.lists(st.tuples(ANY_DOUBLES, ANY_DOUBLES, st.one_of(st.sampled_from([0, 1, 2, -1]), LANES)),
+                 max_size=8),
+    )
+    def test_fuzzed_channels_match_the_row_writer(self, rr, left, right, driving):
+        seg = make_segment(rr_intervals=rr, pupil_left=left, pupil_right=right,
+                           driving=[(t, lateral, float(lane)) for t, lateral, lane in driving])
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(Dataset(segments=(seg,)), Path(tmp) / "new")
+            _reference_write_dataset(Dataset(segments=(seg,)), Path(tmp) / "old")
+            assert _tree_bytes(Path(tmp) / "new") == _tree_bytes(Path(tmp) / "old")
+
+    def test_generated_tree_matches_the_row_writer(self, tmp_path):
+        dataset = generate_dataset(GeneratorConfig(n_participants=3, seed=7))
+        write_dataset(dataset, tmp_path / "new")
+        _reference_write_dataset(dataset, tmp_path / "old")
+        written = _tree_bytes(tmp_path / "new")
+        assert len(written) == 3 * 6 * 6
+        assert written == _tree_bytes(tmp_path / "old")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from loadsense import FORMAT_VERSION
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 
@@ -30,3 +32,10 @@ def test_fixture_set_is_complete(outputs):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_output_matches_golden_bytes(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("report_*.csv")))
+def test_report_header_carries_the_format_version(name):
+    """The fixtures and FORMAT_VERSION move together: a declared format
+    change bumps the version and regenerates the reports."""
+    assert (GOLDEN / name).read_text().startswith(f"# format_version={FORMAT_VERSION}\n")

@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loadsense.core import LoadLevel, TaskKind, validate_dataset, validate_segment, write_dataset
+from loadsense.core import LoadLevel, TaskKind, load_dataset, validate_dataset, validate_segment, write_dataset
 from loadsense.driving import nback_rate, visual_search_perf
 from loadsense.evaluate import featurize_dataset
 from loadsense.synth import (
     DEFAULT_TARGETS,
+    DIAMETER_DECIMALS,
+    LATERAL_DECIMALS,
+    RR_DECIMALS,
+    TIME_DECIMALS,
     GeneratorConfig,
     LevelTargets,
     generate_dataset,
@@ -121,6 +125,37 @@ class TestDeterminism:
         small = generate_dataset(GeneratorConfig(seed=5, n_participants=2))
         large = generate_dataset(GeneratorConfig(seed=5, n_participants=4))
         assert small.segments == large.segments[: len(small.segments)]
+
+
+# decimals of each generated channel column: onsets are whole ms, and
+# confidence (0 or 1) and lanes are integral
+COLUMN_DECIMALS = {
+    "rr_intervals": (3, RR_DECIMALS),
+    "pupil_left": (TIME_DECIMALS, DIAMETER_DECIMALS, 0),
+    "pupil_right": (TIME_DECIMALS, DIAMETER_DECIMALS, 0),
+    "driving": (TIME_DECIMALS, LATERAL_DECIMALS, 0),
+}
+
+
+class TestResolution:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_every_sample_sits_on_its_declared_grid(self, seed):
+        for seg in generate_dataset(GeneratorConfig(seed=seed, n_participants=3)).segments:
+            for name, decimals in COLUMN_DECIMALS.items():
+                samples = getattr(seg, name)
+                assert len(samples)
+                for column, d in zip(samples.T, decimals):
+                    assert np.array_equal(np.round(column, d), column), (seed, name, d)
+            onsets, rr_ms = seg.rr_intervals.T
+            assert np.array_equal(onsets, np.cumsum(rr_ms) / 1000.0)
+            for pupil in (seg.pupil_left, seg.pupil_right):
+                assert set(np.unique(pupil[:, 2])) <= {0.0, 1.0}
+
+    def test_seed7_tree_reloads_equal(self, tmp_path):
+        dataset = generate_dataset(GeneratorConfig(seed=7, n_participants=3))
+        write_dataset(dataset, tmp_path)
+        loaded = {(s.participant_id, s.task, s.level): s for s in load_dataset(tmp_path).segments}
+        assert loaded == {(s.participant_id, s.task, s.level): s for s in dataset.segments}
 
 
 @pytest.fixture(scope="module")
