@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_SEED, FORMAT_VERSION
-from .core import DatasetError, TaskKind, load_dataset, validate_dataset, write_dataset
+from .core import DatasetError, TaskKind, iter_segments, validate_dataset, write_dataset
 from .evaluate import (
     FEATURE_SUBSETS,
     FeatureRow,
-    featurize_dataset,
+    featurize_segments,
     make_split_plan,
     render_report,
     run_nested_cv,
@@ -61,8 +61,15 @@ def _write_run_record(out_dir: Path, argv: list[str], seed: int, config: dict) -
     (out_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load(args) -> "Dataset":
-    return load_dataset(args.dataset, strict=args.strict, report=lambda msg: print(msg, file=sys.stderr))
+def _report(msg: str) -> None:
+    print(msg, file=sys.stderr)
+
+
+def _feature_rows(args) -> list[FeatureRow]:
+    """The --dataset tree's feature rows.  Each segment is read, validated and
+    featurized in turn and only its row is kept, so peak memory is about one
+    segment's, whatever the cohort size."""
+    return featurize_segments(iter_segments(args.dataset, strict=args.strict, report=_report))
 
 
 def _features_csv(rows: list[FeatureRow], seed: int) -> str:
@@ -101,20 +108,21 @@ def cmd_validate(args, argv) -> int:
     reported: list[str] = []
 
     def report(msg: str) -> None:
-        print(msg, file=sys.stderr)
+        _report(msg)
         reported.append(msg)
 
-    dataset = load_dataset(args.dataset, strict=args.strict, report=report)
-    issues = validate_dataset(dataset)
+    # keys only: each segment's arrays are dropped as soon as it is validated
+    keys = [(seg.participant_id, seg.task, seg.level)
+            for seg in iter_segments(args.dataset, strict=args.strict, report=report)]
+    issues = validate_dataset(keys)
     for issue in issues:
         print(f"dataset: {issue.severity}: {issue.message}")
-    print(f"{len(dataset.segments)} segments, {len(reported) + len(issues)} issues")
+    print(f"{len(keys)} segments, {len(reported) + len(issues)} issues")
     return 0
 
 
 def cmd_features(args, argv) -> int:
-    dataset = _load(args)
-    rows = featurize_dataset(dataset)
+    rows = _feature_rows(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "features.csv").write_text(_features_csv(rows, args.seed), encoding="utf-8")
@@ -124,8 +132,7 @@ def cmd_features(args, argv) -> int:
 
 
 def cmd_stats(args, argv) -> int:
-    dataset = _load(args)
-    rows = featurize_dataset(dataset)
+    rows = _feature_rows(args)
     tuples = [(r.participant, r.task, r.level, r.features) for r in rows]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,7 +189,7 @@ def cmd_train(args, argv) -> int:
         print("usage: loadsense train takes one --subset (a trained model uses one feature subset)",
               file=sys.stderr)
         return 2
-    rows = featurize_dataset(_load(args))
+    rows = _feature_rows(args)
     subset = args.subset[0] if args.subset else "all"
     ensemble = train(rows, TASK_NAMES[args.task], args.scheme, subset, args.seed)
 
@@ -196,8 +203,7 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_evaluate(args, argv) -> int:
-    dataset = _load(args)
-    rows = featurize_dataset(dataset)
+    rows = _feature_rows(args)
     task = TASK_NAMES[args.task]
     participants = sorted({r.participant for r in rows})
     plan = make_split_plan(participants, k=5, seed=args.seed)

@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -278,12 +278,13 @@ def validate_segment(seg: SessionSegment) -> list[Issue]:
     return issues
 
 
-def validate_dataset(dataset: Dataset) -> list[Issue]:
-    """Cross-segment check: a participant with n-back segments has all three levels."""
+def validate_dataset(keys: Iterable[tuple[str, TaskKind, LoadLevel]]) -> list[Issue]:
+    """Cross-segment check over the (participant, task, level) key of each
+    segment: a participant with n-back segments has all three levels."""
     nback_levels: dict[str, set[LoadLevel]] = {}
-    for seg in dataset.segments:
-        if seg.task is TaskKind.NBACK:
-            nback_levels.setdefault(seg.participant_id, set()).add(seg.level)
+    for participant, task, level in keys:
+        if task is TaskKind.NBACK:
+            nback_levels.setdefault(participant, set()).add(level)
     return [Issue("warning", f"participant {pid} lacks a complete n-back level set")
             for pid, levels in nback_levels.items() if levels != set(LoadLevel)]
 
@@ -434,14 +435,17 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
     )
 
 
-def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Dataset:
-    """Load a dataset tree.
+def iter_segments(root_path: str | Path, strict: bool = False, report=None) -> Iterator[SessionSegment]:
+    """Yield each kept segment of a dataset tree, in sorted directory order.
 
-    Lenient mode (default) skips a segment that fails validation or repeats a
-    (participant, task, level) and reports it through `report` (a callable
-    taking a message string); strict mode aborts on the first such segment.
-    A skipped segment's one message names all of its errors, joined by "; ".
-    Both report each warning of a kept segment.
+    A segment is read and validated only when it is asked for, so a caller
+    that keeps no segment holds about one at a time.  Lenient mode (default)
+    skips a segment that fails validation or repeats a (participant, task,
+    level) and reports it through `report` (a callable taking a message
+    string); strict mode raises on the first such segment, after yielding the
+    ones before it.  A skipped segment's one message names all of its errors,
+    joined by "; ".  Both report each warning of a kept segment before
+    yielding it.  A tree with no kept segment raises after its last segment.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -452,7 +456,6 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
     if not seg_dirs:
         raise DatasetError(f"{root}: no segments found")
 
-    segments: list[SessionSegment] = []
     seen: set[tuple[str, TaskKind, LoadLevel]] = set()
     for seg_dir in seg_dirs:
         try:
@@ -472,11 +475,15 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
         for issue in issues:  # a kept segment's issues are all warnings
             report(f"warning: {seg_dir}: {issue.message}")
         seen.add(key)
-        segments.append(seg)
+        yield seg
 
-    if not segments:
+    if not seen:
         raise DatasetError(f"{root}: no segments found")
-    return Dataset(segments=tuple(segments))
+
+
+def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Dataset:
+    """Load a dataset tree: every segment `iter_segments` yields, in its order."""
+    return Dataset(segments=tuple(iter_segments(root_path, strict, report)))
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,14 +121,20 @@ def featurize_segment(seg: SessionSegment) -> FeatureVector:
     return FeatureVector(**values)
 
 
-def featurize_dataset(dataset: Dataset) -> list[FeatureRow]:
-    """One feature row per segment, ordered by (participant, task, level)."""
+def featurize_segments(segments: Iterable[SessionSegment]) -> list[FeatureRow]:
+    """One feature row per segment, ordered by (participant, task, level).
+    Each segment is featurized as it is drawn, and only its row is kept."""
     rows = [
         FeatureRow(seg.participant_id, seg.task, seg.level, featurize_segment(seg))
-        for seg in dataset.segments
+        for seg in segments
     ]
     rows.sort(key=lambda r: (r.participant, r.task.value, int(r.level)))
     return rows
+
+
+def featurize_dataset(dataset: Dataset) -> list[FeatureRow]:
+    """One feature row per segment, ordered by (participant, task, level)."""
+    return featurize_segments(dataset.segments)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,15 @@ def modulus_maxima(x: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _band_ratio(cd_l: np.ndarray, cd_h: np.ndarray, stride: int) -> np.ndarray:
+    """cd_l[i] / cd_h[i * stride] for each low-band coefficient; 0 where that
+    high-band coefficient is below 1e-12 in magnitude or past its band's end."""
+    den = cd_h[::stride][: len(cd_l)]
+    ratio = np.zeros(len(cd_l))
+    np.divide(cd_l[: len(den)], den, out=ratio[: len(den)], where=np.abs(den) >= 1e-12)
+    return ratio
+
+
 def lhipa(signal: UniformPupilSignal) -> float:
     """Low/high pupillary activity index, in events per second.
 
@@ -200,14 +209,7 @@ def lhipa(signal: UniformPupilSignal) -> float:
     cd_h = dwt_detail(x, hif) / math.sqrt(2.0**hif)
     cd_l = dwt_detail(x, lof) / math.sqrt(2.0**lof)
 
-    stride = 2 ** (lof - hif)
-    ratio = np.zeros(len(cd_l))
-    for i in range(len(cd_l)):
-        j = i * stride
-        if j >= len(cd_h):
-            break
-        den = cd_h[j]
-        ratio[i] = cd_l[i] / den if abs(den) >= 1e-12 else 0.0
+    ratio = _band_ratio(cd_l, cd_h, 2 ** (lof - hif))
 
     if not np.any(ratio) and np.any(np.abs(cd_l) >= 1e-12):
         log.warning("lhipa: high-frequency band is zero while low band is not; returning 0")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from conftest import make_segment
 from loadsense import FORMAT_VERSION, core
 from loadsense.cli import run_cli
-from loadsense.core import Dataset, TaskKind, load_dataset, write_dataset
+from loadsense.core import Dataset, DatasetError, TaskKind, load_dataset, write_dataset
 from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
 from loadsense.learn import fit_scaler, greedy_ensemble, grid_search, model_to_json
 
@@ -200,6 +201,48 @@ class TestFeaturesAndStats:
         header, row = lines[2].split(","), lines[3].split(",")
         assert row[header.index("lhipa_left")] == ""
         assert row[header.index("lhipa_right")] != ""
+
+
+class TestStreaming:
+    """Every --dataset command reads the tree one segment at a time."""
+
+    @pytest.fixture(scope="class")
+    def channel_nbytes(self, dataset_dir) -> int:
+        return sum(getattr(seg, name).nbytes for seg in load_dataset(dataset_dir).segments
+                   for name in core.CHANNEL_FILES)
+
+    @pytest.mark.parametrize("command", ["validate", "features", "stats"])
+    def test_peak_memory_is_under_a_quarter_of_the_tree(self, dataset_dir, channel_nbytes, tmp_path, capsys,
+                                                         command):
+        argv = [command, "--dataset", str(dataset_dir)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path), "--seed", "5"]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < channel_nbytes / 4, (peak, channel_nbytes)
+
+    @pytest.mark.parametrize("command", ["features", "stats"])
+    def test_strict_failure_on_the_last_segment_writes_nothing(self, tiny_dataset, tmp_path, capsys, command):
+        write_dataset(tiny_dataset, tmp_path / "ds")
+        last = sorted((tmp_path / "ds").glob("*/*/manifest.json"))[-1].parent
+        rr = last / "rr.csv"
+        lines = rr.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",-1"
+        rr.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as raised:
+            load_dataset(tmp_path / "ds", strict=True)
+        out = tmp_path / "out"
+        assert run_cli([command, "--dataset", str(tmp_path / "ds"), "--out", str(out), "--strict"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {raised.value}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def _reference_train_json(rows, task, scheme, subset_name, seed):

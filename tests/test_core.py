@@ -33,6 +33,7 @@ from loadsense.core import (
     TaskKind,
     _read_canonical,
     _read_csv,
+    iter_segments,
     load_dataset,
     pupil_gap_fraction,
     validate_dataset,
@@ -113,8 +114,7 @@ class TestPupilGapFraction:
 
 class TestValidateDataset:
     def test_incomplete_nback_levels_warn(self):
-        ds = Dataset(segments=(make_segment(level=LoadLevel.EASY),))
-        warnings = [i for i in validate_dataset(ds) if not i.is_error]
+        warnings = [i for i in validate_dataset([("p000", TaskKind.NBACK, LoadLevel.EASY)]) if not i.is_error]
         assert any("complete n-back level set" in i.message for i in warnings)
 
 
@@ -187,6 +187,17 @@ class TestLoadDataset:
         ds = load_dataset(tmp_path, report=messages.append)
         assert len(ds.segments) == len(tiny_dataset.segments) - 1
         assert len(messages) == 1 and "rr.csv" in messages[0]
+
+    def test_iter_segments_yields_in_order_until_a_strict_error(self, tiny_dataset, tmp_path):
+        write_dataset(tiny_dataset, tmp_path)
+        seg_dirs = sorted(m.parent for m in tmp_path.glob("*/*/manifest.json"))
+        (seg_dirs[-1] / "rr.csv").write_text("wrong,header\n1,2\n")
+        segments = iter_segments(tmp_path, strict=True)
+        expected = {(s.participant_id, s.task.value, s.level.name.lower()): s for s in tiny_dataset.segments}
+        for seg_dir in seg_dirs[:-1]:
+            assert next(segments) == expected[(seg_dir.parent.name, *seg_dir.name.rsplit("_", 1))]
+        with pytest.raises(DatasetError, match="rr.csv: expected header"):
+            next(segments)
 
     def test_repeated_condition_is_skipped_and_reported(self, clean_segment, tmp_path):
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)

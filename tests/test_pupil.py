@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from loadsense.pupil import (
     SYM16,
     UniformPupilSignal,
+    _band_ratio,
     _dwt_step,
     compute_lhipa,
     dwt_detail,
@@ -165,6 +166,51 @@ class TestLhipa:
         signal = UniformPupilSignal(rate_hz=120.0, samples=np.zeros(64))
         with pytest.raises(ValueError, match="too short"):
             lhipa(signal)
+
+
+def _reference_band_ratio(cd_l, cd_h, stride):
+    """The per-coefficient loop `_band_ratio` replaced: the oracle for it."""
+    ratio = np.zeros(len(cd_l))
+    for i in range(len(cd_l)):
+        j = i * stride
+        if j >= len(cd_h):
+            break
+        den = cd_h[j]
+        ratio[i] = cd_l[i] / den if abs(den) >= 1e-12 else 0.0
+    return ratio
+
+
+def _bands(samples):
+    """The normalized detail bands and stride that `lhipa` forms from a signal."""
+    lof = max_decomposition_level(len(samples)) // 2
+    cd_h = dwt_detail(samples, 1) / math.sqrt(2.0)
+    cd_l = dwt_detail(samples, lof) / math.sqrt(2.0**lof)
+    return cd_l, cd_h, 2 ** (lof - 1)
+
+
+class TestBandRatioOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_signals_match_the_loop_bit_for_bit(self, seed):
+        rate, duration = ((60.0, 120.0), (120.0, 150.0))[seed % 2]
+        cd_l, cd_h, stride = _bands(_fixture_signal(seed, rate, duration).samples)
+        assert _band_ratio(cd_l, cd_h, stride).tobytes() == _reference_band_ratio(cd_l, cd_h, stride).tobytes()
+
+    def test_zero_high_band_gives_zeros_like_the_loop(self):
+        cd_l, cd_h, stride = _bands(_fixture_signal(1, 120.0, 120.0).samples)
+        cd_h = np.zeros_like(cd_h)
+        ratio = _band_ratio(cd_l, cd_h, stride)
+        assert ratio.tobytes() == _reference_band_ratio(cd_l, cd_h, stride).tobytes()
+        assert not np.any(ratio)
+
+    @pytest.mark.parametrize("n_low,n_high,stride", [(10, 40, 4), (10, 33, 4), (10, 5, 1), (3, 0, 2), (0, 8, 2)])
+    def test_short_high_band_tiny_and_non_finite_denominators(self, n_low, n_high, stride):
+        rng = np.random.default_rng(n_low * 100 + n_high)
+        cd_l = rng.normal(size=n_low)
+        cd_h = rng.normal(size=n_high)
+        special = np.array([1e-12, -1e-12, 9.999e-13, 0.0, -0.0, np.nan, np.inf, 5e-324])
+        used = cd_h[::stride]  # a view: the denominators the ratio reads
+        used[: len(special)] = special[: len(used)]
+        assert _band_ratio(cd_l, cd_h, stride).tobytes() == _reference_band_ratio(cd_l, cd_h, stride).tobytes()
 
 
 class TestPreprocess:

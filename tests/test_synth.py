@@ -89,7 +89,7 @@ class TestStructure:
         assert len(ds.segments) == 45 * 6
         for seg in ds.segments[:12]:  # validating all 270 is slow; spot-check 2 participants
             assert not any(i.is_error for i in validate_segment(seg))
-        assert not any(i.is_error for i in validate_dataset(ds))
+        assert not any(i.is_error for i in validate_dataset((s.participant_id, s.task, s.level) for s in ds.segments))
 
     def test_smoke_config_is_fast(self):
         start = time.monotonic()
