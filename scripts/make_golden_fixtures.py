@@ -7,12 +7,17 @@ featurize_dataset, all in memory) it writes:
 - the three report CSVs run_full_pipeline.py writes (run_nested_cv, then
   render_report), under the same file names;
 - model_sha256.txt: the sha256 of model_to_json(train(..., "all", 7)) for
-  each of those three task/scheme pairs.
+  each of those three task/scheme pairs;
+- features.csv (features_csv) and the stats command's four files
+  (stats_files): descriptives.csv, reliability.csv, correlations.txt and
+  paired_tests.csv.
 
 tests/test_golden.py recomputes the same outputs through `golden_outputs`
 and compares them byte for byte, so a change that moves any fitted model
-or report shows up across commits, not only between two runs of one
-commit.  Regenerate only for a declared output change.
+or report, feature or statistic shows up across commits, not only between
+two runs of one commit.  The CLI writes the same files from a tree on disk,
+so comparing its outputs with these checks the write/read round trip too.
+Regenerate only for a declared output change.
 
 Run from the repository root:
 
@@ -27,9 +32,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from loadsense.core import TaskKind
+from loadsense.core import TaskKind, features_csv
 from loadsense.evaluate import featurize_dataset, make_split_plan, render_report, run_nested_cv, train
 from loadsense.learn import model_to_json
+from loadsense.stats import stats_files
 from loadsense.synth import GeneratorConfig, generate_dataset
 
 SEED = 7
@@ -42,7 +48,9 @@ def golden_outputs() -> dict[str, bytes]:
     """File name -> bytes of every golden output."""
     rows = featurize_dataset(generate_dataset(GeneratorConfig(n_participants=PARTICIPANTS, seed=SEED)))
     plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=SEED)
-    outputs = {}
+    outputs = {"features.csv": features_csv(rows, SEED).encode()}
+    files, _, _ = stats_files(rows, SEED)
+    outputs.update((name, text.encode()) for name, text in files.items())
     digests = []
     for task, scheme in EVALUATIONS:
         report = run_nested_cv(rows, task, scheme, plan)

@@ -12,37 +12,15 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import DEFAULT_SEED, FORMAT_VERSION
-from .core import DatasetError, TaskKind, iter_segments, validate_dataset, write_dataset
-from .evaluate import (
-    FEATURE_SUBSETS,
-    FeatureRow,
-    featurize_segments,
-    make_split_plan,
-    render_report,
-    run_nested_cv,
-    train,
-)
+from .core import DatasetError, FeatureRow, TaskKind, features_csv, iter_segments, validate_dataset, write_dataset
+from .evaluate import FEATURE_SUBSETS, featurize_segments, make_split_plan, render_report, run_nested_cv, train
 from .learn import model_to_json
-from .stats import (
-    CONDITIONS,
-    DIMENSIONS,
-    build_condition_matrix,
-    correlation_matrices,
-    descriptive_table,
-    paired_t,
-    reliability_screen,
-    render_correlation_matrix,
-    render_descriptive_table,
-)
-from .core import FEATURE_NAMES, LoadLevel
+from .stats import stats_files
 from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
 
 TASK_NAMES = {"nback": TaskKind.NBACK, "visual_search": TaskKind.VISUAL_SEARCH}
@@ -70,21 +48,6 @@ def _feature_rows(args) -> list[FeatureRow]:
     featurized in turn and only its row is kept, so peak memory is about one
     segment's, whatever the cohort size."""
     return featurize_segments(iter_segments(args.dataset, strict=args.strict, report=_report))
-
-
-def _features_csv(rows: list[FeatureRow], seed: int) -> str:
-    lines = [
-        f"# format_version={FORMAT_VERSION}",
-        f"# seed={seed}",
-        "participant,task,level," + ",".join(FEATURE_NAMES),
-    ]
-    for row in rows:
-        cells = [row.participant, row.task.value, row.level.name.lower()]
-        for name in FEATURE_NAMES:
-            v = row.features.value(name)
-            cells.append("" if v is None else repr(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_synth(args, argv) -> int:
@@ -125,60 +88,18 @@ def cmd_features(args, argv) -> int:
     rows = _feature_rows(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "features.csv").write_text(_features_csv(rows, args.seed), encoding="utf-8")
+    (out / "features.csv").write_text(features_csv(rows, args.seed), encoding="utf-8")
     _write_run_record(out, argv, args.seed, {"subcommand": "features", "dataset": str(args.dataset)})
     print(f"wrote {len(rows)} feature rows to {out / 'features.csv'}")
     return 0
 
 
 def cmd_stats(args, argv) -> int:
-    rows = _feature_rows(args)
-    tuples = [(r.participant, r.task, r.level, r.features) for r in rows]
+    files, retained, excluded = stats_files(_feature_rows(args), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    table = descriptive_table(tuples)
-    (out / "descriptives.csv").write_text(
-        f"# format_version={FORMAT_VERSION}\n# seed={args.seed}\n" + render_descriptive_table(table),
-        encoding="utf-8",
-    )
-
-    matrices = {dim: build_condition_matrix(tuples, dim) for dim in DIMENSIONS}
-    alphas, retained, excluded = reliability_screen({dim: m.values for dim, m in matrices.items()})
-    reliability_lines = [f"# format_version={FORMAT_VERSION}", f"# seed={args.seed}",
-                         "dimension,alpha,retained"]
-    for dim in DIMENSIONS:
-        a = alphas[dim]
-        reliability_lines.append(f"{dim},{'' if math.isnan(a) else f'{a:.4f}'},{dim in retained}")
-    (out / "reliability.csv").write_text("\n".join(reliability_lines) + "\n", encoding="utf-8")
-
-    # per-condition correlation matrix across all (dimension, condition) columns
-    columns = {}
-    for dim in DIMENSIONS:
-        matrix = matrices[dim]
-        for j, (task, level) in enumerate(CONDITIONS):
-            columns[f"{dim}.{task.value}.{level.name.lower()}"] = matrix.values[:, j]
-    corr = correlation_matrices(columns)
-    (out / "correlations.txt").write_text(render_correlation_matrix(corr), encoding="utf-8")
-
-    # manipulation-check paired t-tests on the retained dimensions, per task
-    t_lines = [f"# format_version={FORMAT_VERSION}", f"# seed={args.seed}",
-               "dimension,task,comparison,t,df,p,n"]
-    for dim in sorted(retained):
-        matrix = matrices[dim]
-        for task in TaskKind:
-            cols = {level: matrix.values[:, CONDITIONS.index((task, level))] for level in LoadLevel}
-            for lo, hi in ((LoadLevel.EASY, LoadLevel.MEDIUM), (LoadLevel.MEDIUM, LoadLevel.HARD)):
-                mask = ~np.isnan(cols[lo]) & ~np.isnan(cols[hi])
-                if mask.sum() < 2:
-                    continue
-                res = paired_t(cols[lo][mask], cols[hi][mask])
-                t_lines.append(
-                    f"{dim},{task.value},{lo.name.lower()}-vs-{hi.name.lower()},"
-                    f"{res.statistic:.4f},{res.df},{res.p_value:.6f},{res.n}"
-                )
-    (out / "paired_tests.csv").write_text("\n".join(t_lines) + "\n", encoding="utf-8")
-
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
     _write_run_record(out, argv, args.seed, {"subcommand": "stats", "dataset": str(args.dataset)})
     print(f"retained: {sorted(retained)}; excluded: {sorted(excluded)}")
     return 0
@@ -213,11 +134,12 @@ def cmd_evaluate(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = f"report_{args.task}_{args.scheme}"
     (out / f"{stem}.csv").write_text(render_report(report, "csv"), encoding="utf-8")
-    (out / f"{stem}.txt").write_text(render_report(report, "txt"), encoding="utf-8")
+    text = render_report(report, "txt")
+    (out / f"{stem}.txt").write_text(text, encoding="utf-8")
     _write_run_record(out, argv, args.seed, {"subcommand": "evaluate", "task": args.task,
                                              "scheme": args.scheme, "threads": args.threads,
                                              "subsets": list(subsets) if subsets else "all"})
-    print((out / f"{stem}.txt").read_text(), end="")
+    print(text, end="")
     return 0
 
 

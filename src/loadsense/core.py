@@ -12,7 +12,7 @@ A dataset on disk is a directory tree::
 
 All numerics are decimal with '.' separator, UTF-8, LF line endings.
 Floats are written with repr() so a write/load round trip is bit-exact;
-`write_dataset` formats each channel column once and joins the rows from
+`write_dataset` formats each column of a file once and joins the rows from
 the formatted columns.  A generated tree holds fixed-resolution values
 (synth rounds each channel to a sensor's resolution), so its cells are
 short, but any float64 is written exactly.
@@ -40,9 +40,11 @@ import re
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import FORMAT_VERSION
 
 
 class DatasetError(Exception):
@@ -170,6 +172,44 @@ class FeatureVector:
         if name not in FEATURE_NAMES:
             raise KeyError(name)
         return getattr(self, name)
+
+
+@dataclass(frozen=True)
+class FeatureRow:
+    """One segment's features, keyed by its (participant, task, level)."""
+
+    participant: str
+    task: TaskKind
+    level: LoadLevel
+    features: FeatureVector
+
+
+def feature_matrix(rows: Sequence[FeatureRow], names: Sequence[str]) -> np.ndarray:
+    """The (rows, names) float array of the named features; NaN marks a missing one."""
+    X = np.full((len(rows), len(names)), np.nan)
+    for i, row in enumerate(rows):
+        for j, name in enumerate(names):
+            v = row.features.value(name)
+            if v is not None:
+                X[i, j] = v
+    return X
+
+
+def features_csv(rows: Iterable[FeatureRow], seed: int) -> str:
+    """The text of features.csv: one line per row, repr() of each feature
+    (bit-exact on reading back), an empty cell for a missing one."""
+    lines = [
+        f"# format_version={FORMAT_VERSION}",
+        f"# seed={seed}",
+        "participant,task,level," + ",".join(FEATURE_NAMES),
+    ]
+    for row in rows:
+        cells = [row.participant, row.task.value, row.level.name.lower()]
+        for name in FEATURE_NAMES:
+            v = row.features.value(name)
+            cells.append("" if v is None else repr(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -486,14 +526,6 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
     return Dataset(segments=tuple(iter_segments(root_path, strict, report)))
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            # str() of a Python float is its repr(), which reads back bit-exactly
-            fh.write(",".join(map(str, row)) + "\n")
-
-
 def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset as the directory tree described in the module docstring.
     A segment under the root that it would not overwrite is an error."""
@@ -512,16 +544,15 @@ def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
             "duration_s": seg.duration_s,
         }
         (seg_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-        for name, (file, header) in CHANNEL_FILES.items():
-            # each column is formatted once: repr() of a float reads back
-            # bit-exactly, and a lane is written as the int it holds
-            columns = [list(map(str, map(int, column.tolist()))) if col_name == "target_lane"
-                       else list(map(repr, column.tolist()))
-                       for col_name, column in zip(header, getattr(seg, name).T)]
+        # each column is formatted once: repr() of a float reads back
+        # bit-exactly, and a lane is written as the int it holds
+        files = [(file, header, [list(map(str, map(int, column.tolist()))) if col_name == "target_lane"
+                                 else list(map(repr, column.tolist()))
+                                 for col_name, column in zip(header, getattr(seg, name).T)])
+                 for name, (file, header) in CHANNEL_FILES.items()]
+        # str() of an event time is its float repr()
+        files.append(("events.csv", ["t_s", "kind", "payload"],
+                      list(zip(*((str(e.t_s), e.kind.value, e.payload or "") for e in seg.events)))))
+        for file, header, columns in files:
             lines = [",".join(header), *map(",".join, zip(*columns))]
             (seg_dir / file).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        _write_csv(
-            seg_dir / "events.csv",
-            ["t_s", "kind", "payload"],
-            ((e.t_s, e.kind.value, e.payload or "") for e in seg.events),
-        )

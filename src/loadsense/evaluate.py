@@ -15,7 +15,8 @@ import numpy as np
 
 from . import FORMAT_VERSION
 from .cardiac import compute_cardiac_features
-from .core import Dataset, DatasetError, FEATURE_NAMES, FeatureVector, LoadLevel, SessionSegment, TaskKind
+from .core import (Dataset, DatasetError, FEATURE_NAMES, FeatureRow, FeatureVector, LoadLevel,
+                   SessionSegment, TaskKind, feature_matrix)
 from .driving import build_ideal_path, deviation_series, deviation_stats, DEFAULT_SPEED_MPS
 from .learn import MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy
 from .learn import fit_scaler, grid_search, greedy_ensemble
@@ -80,14 +81,6 @@ def make_split_plan(participant_ids: Sequence[str], k: int = 5, seed: int = 0) -
     if len(shuffled) < k:
         raise ValueError(f"need at least {k} participants, got {len(shuffled)}")
     return SplitPlan(folds=tuple(_fold(shuffled, tuple(shuffled[i::k])) for i in range(k)), seed=seed)
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    participant: str
-    task: TaskKind
-    level: LoadLevel
-    features: FeatureVector
 
 
 def _change_points_from_trace(driving: np.ndarray):
@@ -155,16 +148,6 @@ def _rows_for_task(rows: Sequence[FeatureRow], task: TaskKind, scheme: str) -> l
     return selected
 
 
-def _matrix(rows: Sequence[FeatureRow], subset: tuple[str, ...]) -> np.ndarray:
-    X = np.full((len(rows), len(subset)), np.nan)
-    for i, row in enumerate(rows):
-        for j, name in enumerate(subset):
-            v = row.features.value(name)
-            if v is not None:
-                X[i, j] = v
-    return X
-
-
 def _labels(rows: Sequence[FeatureRow]) -> np.ndarray:
     return np.asarray([int(r.level) for r in rows], dtype=int)
 
@@ -179,10 +162,10 @@ def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureR
     """Fit the scaler on the training rows, grid-search every model kind and
     select the greedy ensemble on the validation rows.  Returns (scaler,
     candidates, ensemble); the candidates and the ensemble take scaled input."""
-    X_train = _matrix(train_rows, subset)
+    X_train = feature_matrix(train_rows, subset)
     scaler = fit_scaler(X_train)
     X_train = scaler.transform(X_train)
-    X_val = scaler.transform(_matrix(val_rows, subset))
+    X_val = scaler.transform(feature_matrix(val_rows, subset))
     y_val = _labels(val_rows)
     candidates = grid_search(X_train, _labels(train_rows), X_val, y_val)
     return scaler, candidates, greedy_ensemble(candidates, y_val)
@@ -199,7 +182,7 @@ def _evaluate_fold(rows, fold, subsets):
     for subset_name in subsets:
         subset = FEATURE_SUBSETS[subset_name]
         scaler, candidates, ensemble = select_and_fit(train_rows, val_rows, subset)
-        X_test = scaler.transform(_matrix(test_rows, subset))
+        X_test = scaler.transform(feature_matrix(test_rows, subset))
         for kind in MODEL_KINDS:
             best = next(c for c in candidates if c.kind == kind)
             result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)

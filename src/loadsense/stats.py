@@ -1,5 +1,6 @@
 """Statistical gates: descriptives, Pearson correlations, Cronbach's alpha
-reliability screening, and paired t-tests.
+reliability screening, and paired t-tests.  `stats_files` builds the `stats`
+command's four files from feature rows.
 
 The Student-t CDF is computed in-package via the regularized incomplete
 beta function (continued-fraction evaluation), so no statistics library is
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FEATURE_NAMES, LoadLevel, TaskKind
+from . import FORMAT_VERSION
+from .core import FeatureRow, LoadLevel, TaskKind, feature_matrix
 
 # Table 2 style dimensions: one representative value per physiological channel
 DIMENSIONS = ("hr_mean", "hrv_rmssd", "lhipa_right", "lhipa_left", "drive_avg_dev")
@@ -31,18 +33,6 @@ class TestResult:
     p_value: float
     n: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class ConditionMatrix:
-    """Participants x the 6 (task, level) conditions, one feature dimension."""
-
-    participants: tuple[str, ...]
-    values: np.ndarray  # shape (n, 6), NaN where missing
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.participants), len(CONDITIONS)):
-            raise ValueError("condition matrix must be participants x 6")
 
 
 # ---------------------------------------------------------------------------
@@ -208,48 +198,39 @@ def reliability_screen(
 # Tables
 
 
-def descriptive_table(rows) -> dict[str, dict[tuple[TaskKind, LoadLevel], tuple[float | None, float | None, int]]]:
-    """Per-dimension, per-condition (mean, std, n) over feature rows.
+def condition_matrices(rows: Iterable[FeatureRow]) -> dict[str, np.ndarray]:
+    """Each DIMENSIONS name's participants (sorted) x CONDITIONS array over
+    feature rows, one row per (participant, task, level).  NaN marks a
+    missing feature or a condition the participant lacks."""
+    rows = list(rows)
+    participants = {p: i for i, p in enumerate(sorted({row.participant for row in rows}))}
+    cube = np.full((len(DIMENSIONS), len(participants), len(CONDITIONS)), np.nan)
+    cube[:, [participants[row.participant] for row in rows],
+         [CONDITIONS.index((row.task, row.level)) for row in rows]] = feature_matrix(rows, DIMENSIONS).T
+    return dict(zip(DIMENSIONS, cube))
 
-    `rows` is an iterable of (participant, task, level, FeatureVector).
+
+def descriptive_table(
+    matrices: Mapping[str, np.ndarray],
+) -> dict[str, dict[tuple[TaskKind, LoadLevel], tuple[float | None, float | None, int]]]:
+    """Per-dimension, per-condition (mean, std, n) over `condition_matrices`.
+
     Cells with no data are (None, None, 0); single-observation cells have
     std None per the n-1 convention.
     """
-    rows = list(rows)
     table: dict[str, dict[tuple[TaskKind, LoadLevel], tuple]] = {}
-    for dim in DIMENSIONS:
+    for dim, matrix in matrices.items():
         cells = {}
-        for cond in CONDITIONS:
-            task, level = cond
-            vals = [
-                row[3].value(dim)
-                for row in rows
-                if row[1] is task and row[2] is level and row[3].value(dim) is not None
-            ]
-            if not vals:
+        for cond, column in zip(CONDITIONS, matrix.T):
+            vals = column[~np.isnan(column)]
+            if len(vals) == 0:
                 cells[cond] = (None, None, 0)
             elif len(vals) == 1:
                 cells[cond] = (float(vals[0]), None, 1)
             else:
-                arr = np.asarray(vals, dtype=float)
-                cells[cond] = (float(arr.mean()), float(arr.std(ddof=1)), len(vals))
+                cells[cond] = (float(vals.mean()), float(vals.std(ddof=1)), len(vals))
         table[dim] = cells
     return table
-
-
-def build_condition_matrix(rows, dimension: str) -> ConditionMatrix:
-    """Assemble one dimension's participants x 6-condition matrix from feature rows."""
-    if dimension not in FEATURE_NAMES:
-        raise KeyError(dimension)
-    participants = sorted({row[0] for row in rows})
-    index = {p: i for i, p in enumerate(participants)}
-    values = np.full((len(participants), len(CONDITIONS)), np.nan)
-    cond_index = {cond: j for j, cond in enumerate(CONDITIONS)}
-    for participant, task, level, features in rows:
-        v = features.value(dimension)
-        if v is not None:
-            values[index[participant], cond_index[(task, level)]] = v
-    return ConditionMatrix(participants=tuple(participants), values=values)
 
 
 @dataclass(frozen=True)
@@ -335,3 +316,41 @@ def render_descriptive_table(table) -> str:
                 cells.append(f"{mean:.4f}+-{std:.4f}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def stats_files(rows: Iterable[FeatureRow], seed: int) -> tuple[dict[str, str], set[str], set[str]]:
+    """The `stats` command's outputs from feature rows: file name -> text of
+    descriptives.csv, reliability.csv, correlations.txt (every (dimension,
+    condition) column against every other) and paired_tests.csv (the
+    manipulation checks, easy-vs-medium and medium-vs-hard per task, on the
+    retained dimensions), then the retained and excluded dimension sets."""
+    matrices = condition_matrices(rows)
+    header = f"# format_version={FORMAT_VERSION}\n# seed={seed}\n"
+
+    alphas, retained, excluded = reliability_screen(matrices)
+    reliability = ["dimension,alpha,retained"]
+    for dim, a in alphas.items():
+        reliability.append(f"{dim},{'' if math.isnan(a) else f'{a:.4f}'},{dim in retained}")
+
+    columns = {f"{dim}.{task.value}.{level.name.lower()}": matrix[:, j]
+               for dim, matrix in matrices.items() for j, (task, level) in enumerate(CONDITIONS)}
+
+    tests = ["dimension,task,comparison,t,df,p,n"]
+    for dim in sorted(retained):
+        for task in TaskKind:
+            for lo, hi in ((LoadLevel.EASY, LoadLevel.MEDIUM), (LoadLevel.MEDIUM, LoadLevel.HARD)):
+                x, y = (matrices[dim][:, CONDITIONS.index((task, level))] for level in (lo, hi))
+                mask = ~np.isnan(x) & ~np.isnan(y)
+                if mask.sum() < 2:
+                    continue
+                res = paired_t(x[mask], y[mask])
+                tests.append(f"{dim},{task.value},{lo.name.lower()}-vs-{hi.name.lower()},"
+                             f"{res.statistic:.4f},{res.df},{res.p_value:.6f},{res.n}")
+
+    files = {
+        "descriptives.csv": header + render_descriptive_table(descriptive_table(matrices)),
+        "reliability.csv": header + "\n".join(reliability) + "\n",
+        "correlations.txt": render_correlation_matrix(correlation_matrices(columns)),
+        "paired_tests.csv": header + "\n".join(tests) + "\n",
+    }
+    return files, retained, excluded

@@ -13,8 +13,8 @@ import pytest
 from conftest import make_segment
 from loadsense import FORMAT_VERSION, core
 from loadsense.cli import run_cli
-from loadsense.core import Dataset, DatasetError, TaskKind, load_dataset, write_dataset
-from loadsense.evaluate import FEATURE_SUBSETS, _labels, _matrix, _rows_for_task, featurize_dataset
+from loadsense.core import Dataset, DatasetError, TaskKind, feature_matrix, load_dataset, write_dataset
+from loadsense.evaluate import FEATURE_SUBSETS, _labels, _rows_for_task, featurize_dataset
 from loadsense.learn import fit_scaler, greedy_ensemble, grid_search, model_to_json
 
 
@@ -145,6 +145,16 @@ class TestFeaturesAndStats:
         for name in ("descriptives.csv", "reliability.csv", "correlations.txt", "paired_tests.csv", "run.json"):
             assert (tmp_path / name).exists()
 
+    def test_stats_that_fails_writes_nothing(self, tmp_path, capsys):
+        """One participant gives Cronbach's alpha too few rows: exit 1 and no
+        output directory, not the tables computed before the failure."""
+        assert run_cli(["synth", "--out", str(tmp_path), "--participants", "1", "--seed", "7"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "stats"
+        assert run_cli(["stats", "--dataset", str(tmp_path / "dataset"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cronbach_alpha: need at least 2 complete rows\n"
+        assert not out.exists()
+
     def test_validate_counts_issues(self, dataset_dir, capsys):
         assert run_cli(["validate", "--dataset", str(dataset_dir)]) == 0
         out = capsys.readouterr().out
@@ -257,9 +267,9 @@ def _reference_train_json(rows, task, scheme, subset_name, seed):
     train_rows = [r for r in task_rows if r.participant in train_ids]
     val_rows = [r for r in task_rows if r.participant in val_ids]
     subset = FEATURE_SUBSETS[subset_name]
-    scaler = fit_scaler(_matrix(train_rows, subset))
-    X_train = scaler.transform(_matrix(train_rows, subset))
-    X_val = scaler.transform(_matrix(val_rows, subset))
+    scaler = fit_scaler(feature_matrix(train_rows, subset))
+    X_train = scaler.transform(feature_matrix(train_rows, subset))
+    X_val = scaler.transform(feature_matrix(val_rows, subset))
     candidates = grid_search(X_train, _labels(train_rows), X_val, _labels(val_rows))
     ensemble = greedy_ensemble(candidates, _labels(val_rows))
     return model_to_json(dataclasses.replace(ensemble, scaler=scaler), seed=seed)

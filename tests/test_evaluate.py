@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_segment
 from loadsense import evaluate
 from loadsense.cardiac import compute_cardiac_features
-from loadsense.core import FEATURE_NAMES, Dataset, LoadLevel, TaskKind, validate_segment
+from loadsense.core import FEATURE_NAMES, Dataset, LoadLevel, TaskKind, feature_matrix, validate_segment
 from loadsense.evaluate import (
     FEATURE_SUBSETS,
     REPORT_ROWS,
@@ -20,7 +20,6 @@ from loadsense.evaluate import (
     Fold,
     SplitPlan,
     _labels,
-    _matrix,
     featurize_dataset,
     featurize_segment,
     make_split_plan,
@@ -295,10 +294,10 @@ def _reference_evaluate_fold(rows, fold, subsets):
     y_train, y_val, y_test = _labels(train_rows), _labels(val_rows), _labels(test_rows)
     for subset_name in subsets:
         subset = FEATURE_SUBSETS[subset_name]
-        scaler = fit_scaler(_matrix(train_rows, subset))
-        X_train = scaler.transform(_matrix(train_rows, subset))
-        X_val = scaler.transform(_matrix(val_rows, subset))
-        X_test = scaler.transform(_matrix(test_rows, subset))
+        scaler = fit_scaler(feature_matrix(train_rows, subset))
+        X_train = scaler.transform(feature_matrix(train_rows, subset))
+        X_val = scaler.transform(feature_matrix(val_rows, subset))
+        X_test = scaler.transform(feature_matrix(test_rows, subset))
         candidates = grid_search(X_train, y_train, X_val, y_val)
         for kind in MODEL_KINDS:
             best = next(c for c in candidates if c.kind == kind)

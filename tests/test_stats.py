@@ -14,13 +14,13 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from loadsense import stats
-from loadsense.core import FeatureVector, LoadLevel, TaskKind
+from loadsense.core import FEATURE_NAMES, FeatureRow, FeatureVector, LoadLevel, TaskKind
+from loadsense.evaluate import featurize_dataset
 from loadsense.stats import (
     CONDITIONS,
     DIMENSIONS,
-    ConditionMatrix,
     betainc_reg,
-    build_condition_matrix,
+    condition_matrices,
     correlation_matrices,
     cronbach_alpha,
     descriptive_table,
@@ -32,6 +32,7 @@ from loadsense.stats import (
     significance_stars,
     student_t_sf_two_tailed,
 )
+from loadsense.synth import GeneratorConfig, generate_dataset, null_config
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0)
 
@@ -240,11 +241,11 @@ class TestReliabilityScreen:
 
 
 def feature_rows(values_by_participant):
-    """(participant, task, level, FeatureVector) rows with hr_mean = given value."""
+    """Feature rows with hr_mean = given value."""
     rows = []
     for pid, per_condition in values_by_participant.items():
         for (task, level), v in per_condition.items():
-            rows.append((pid, task, level, FeatureVector(hr_mean=v)))
+            rows.append(FeatureRow(pid, task, level, FeatureVector(hr_mean=v)))
     return rows
 
 
@@ -252,28 +253,28 @@ class TestDescriptiveTable:
     def test_three_participant_fixture_matches_brute_force(self):
         cond = (TaskKind.NBACK, LoadLevel.EASY)
         rows = feature_rows({"a": {cond: 70.0}, "b": {cond: 80.0}, "c": {cond: 90.0}})
-        table = descriptive_table(rows)
+        table = descriptive_table(condition_matrices(rows))
         mean, std, n = table["hr_mean"][cond]
         assert (mean, n) == (80.0, 3)
         assert std == pytest.approx(10.0)
 
     def test_single_observation_has_no_std(self):
         cond = (TaskKind.NBACK, LoadLevel.HARD)
-        table = descriptive_table(feature_rows({"a": {cond: 70.0}}))
+        table = descriptive_table(condition_matrices(feature_rows({"a": {cond: 70.0}})))
         assert table["hr_mean"][cond] == (70.0, None, 1)
 
     def test_empty_cells(self):
-        table = descriptive_table([])
+        table = descriptive_table(condition_matrices([]))
         assert table["hr_mean"][(TaskKind.NBACK, LoadLevel.EASY)] == (None, None, 0)
 
     def test_accepts_a_generator(self):
         cond = (TaskKind.NBACK, LoadLevel.EASY)
         rows = feature_rows({"a": {cond: 70.0}, "b": {cond: 80.0}})
-        table = descriptive_table(iter(rows))
+        table = descriptive_table(condition_matrices(iter(rows)))
         assert table["hr_mean"][cond][2] == 2
 
     def test_rendering_has_all_dimensions(self):
-        text = render_descriptive_table(descriptive_table([]))
+        text = render_descriptive_table(descriptive_table(condition_matrices([])))
         for dim in DIMENSIONS:
             assert dim in text
 
@@ -281,19 +282,127 @@ class TestDescriptiveTable:
 class TestConditionMatrix:
     def test_build_from_rows(self):
         cond = (TaskKind.NBACK, LoadLevel.EASY)
-        matrix = build_condition_matrix(feature_rows({"a": {cond: 70.0}}), "hr_mean")
-        assert matrix.participants == ("a",)
+        matrix = condition_matrices(feature_rows({"a": {cond: 70.0}}))["hr_mean"]
+        assert matrix.shape == (1, len(CONDITIONS))
         j = CONDITIONS.index(cond)
-        assert matrix.values[0, j] == 70.0
-        assert np.isnan(matrix.values[0, (j + 1) % 6])
+        assert matrix[0, j] == 70.0
+        assert np.isnan(matrix[0, (j + 1) % 6])
 
-    def test_unknown_dimension_rejected(self):
-        with pytest.raises(KeyError):
-            build_condition_matrix([], "not_a_feature")
 
-    def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            ConditionMatrix(participants=("a",), values=np.zeros((2, 6)))
+# ---------------------------------------------------------------------------
+# The tuple-row scans that `condition_matrices` and the column-wise
+# `descriptive_table` replaced, kept as their oracle.
+
+
+def _reference_descriptive_table(rows):
+    """Per-dimension, per-condition (mean, std, n) over (participant, task,
+    level, FeatureVector) rows, scanning every row for each cell."""
+    rows = list(rows)
+    table = {}
+    for dim in DIMENSIONS:
+        cells = {}
+        for cond in CONDITIONS:
+            task, level = cond
+            vals = [
+                row[3].value(dim)
+                for row in rows
+                if row[1] is task and row[2] is level and row[3].value(dim) is not None
+            ]
+            if not vals:
+                cells[cond] = (None, None, 0)
+            elif len(vals) == 1:
+                cells[cond] = (float(vals[0]), None, 1)
+            else:
+                arr = np.asarray(vals, dtype=float)
+                cells[cond] = (float(arr.mean()), float(arr.std(ddof=1)), len(vals))
+        table[dim] = cells
+    return table
+
+
+def _reference_build_condition_matrix(rows, dimension):
+    """One dimension's (participants, participants x 6-condition values)."""
+    if dimension not in FEATURE_NAMES:
+        raise KeyError(dimension)
+    participants = sorted({row[0] for row in rows})
+    index = {p: i for i, p in enumerate(participants)}
+    values = np.full((len(participants), len(CONDITIONS)), np.nan)
+    cond_index = {cond: j for j, cond in enumerate(CONDITIONS)}
+    for participant, task, level, features in rows:
+        v = features.value(dimension)
+        if v is not None:
+            values[index[participant], cond_index[(task, level)]] = v
+    return tuple(participants), values
+
+
+EASY, MEDIUM, HARD = LoadLevel.EASY, LoadLevel.MEDIUM, LoadLevel.HARD
+NBACK, SEARCH = TaskKind.NBACK, TaskKind.VISUAL_SEARCH
+
+# hand-built rows, in (participant, task, level) order as featurization sorts them
+HAND_BUILT = {
+    # "b" lacks hr_mean in nback easy and lhipa_left everywhere
+    "missing_feature": [
+        FeatureRow("a", NBACK, EASY, FeatureVector(hr_mean=70.0, lhipa_left=0.1)),
+        FeatureRow("b", NBACK, EASY, FeatureVector(lhipa_right=0.3)),
+        FeatureRow("c", NBACK, EASY, FeatureVector(hr_mean=90.5, lhipa_left=0.2, drive_avg_dev=0.4)),
+    ],
+    "single_observation": [
+        FeatureRow("a", SEARCH, HARD, FeatureVector(hr_mean=71.25, hrv_rmssd=40.0)),
+    ],
+    # nothing for visual search at all, and nothing for nback hard
+    "empty_condition": [
+        FeatureRow(p, NBACK, level, FeatureVector(hr_mean=60.0 + i + int(level), hrv_rmssd=30.0 - i))
+        for i, p in enumerate(("a", "b", "c")) for level in (EASY, MEDIUM)
+    ],
+    # "b" lacks nback medium; "c" has only visual search
+    "participant_lacks_condition": [
+        FeatureRow("a", NBACK, EASY, FeatureVector(hr_mean=70.0, drive_avg_dev=0.25)),
+        FeatureRow("a", NBACK, MEDIUM, FeatureVector(hr_mean=72.0, drive_avg_dev=0.5)),
+        FeatureRow("b", NBACK, EASY, FeatureVector(hr_mean=80.0, drive_avg_dev=0.75)),
+        FeatureRow("c", SEARCH, EASY, FeatureVector(hr_mean=65.0)),
+        FeatureRow("c", SEARCH, MEDIUM, FeatureVector(hr_mean=66.0, lhipa_right=0.125)),
+    ],
+}
+
+
+@pytest.fixture(scope="module", params=[(7, False), (11, False), (7, True)],
+                ids=["seed7", "seed11", "seed7-null"])
+def cohort_rows(request):
+    seed, null = request.param
+    config = GeneratorConfig(n_participants=10, seed=seed)
+    return featurize_dataset(generate_dataset(null_config(config) if null else config))
+
+
+def _assert_same_table(new, old):
+    """Identical cells: the same None places and bit-identical floats."""
+    assert list(new) == list(old)
+    for dim in old:
+        assert list(new[dim]) == list(old[dim])
+        for cond, cell in old[dim].items():
+            got = new[dim][cond]
+            assert [v is None for v in got] == [v is None for v in cell]
+            assert [np.float64(v).tobytes() for v in got if v is not None] == \
+                   [np.float64(v).tobytes() for v in cell if v is not None]
+
+
+def _assert_matches_the_row_scans(rows):
+    tuples = [(r.participant, r.task, r.level, r.features) for r in rows]
+    matrices = condition_matrices(rows)
+    assert list(matrices) == list(DIMENSIONS)
+    for dim in DIMENSIONS:
+        _, values = _reference_build_condition_matrix(tuples, dim)
+        assert matrices[dim].shape == values.shape
+        assert np.array_equal(np.isnan(matrices[dim]), np.isnan(values))
+        assert matrices[dim].tobytes() == values.tobytes()
+    _assert_same_table(descriptive_table(matrices), _reference_descriptive_table(tuples))
+
+
+class TestConditionArraysOracle:
+    def test_seeded_cohort_matches_the_row_scans(self, cohort_rows):
+        _assert_matches_the_row_scans(cohort_rows)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_rows_match_the_row_scans(self, case):
+        _assert_matches_the_row_scans(HAND_BUILT[case])
 
 
 class TestCorrelationMatrices:
