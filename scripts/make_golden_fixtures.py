@@ -10,7 +10,10 @@ featurize_dataset, all in memory) it writes:
   each of those three task/scheme pairs;
 - features.csv (features_csv) and the stats command's four files
   (stats_files): descriptives.csv, reliability.csv, correlations.txt and
-  paired_tests.csv.
+  paired_tests.csv;
+- tree_sha256.txt: one `sha256sum` line per file of the tree that
+  write_dataset writes for the cohort, sorted by relative path, so
+  `sha256sum -c tree_sha256.txt` run inside a written tree checks its bytes.
 
 tests/test_golden.py recomputes the same outputs through `golden_outputs`
 and compares them byte for byte, so a change that moves any fitted model
@@ -28,11 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from loadsense.core import TaskKind, features_csv
+from loadsense.core import Dataset, TaskKind, features_csv, write_dataset
 from loadsense.evaluate import featurize_dataset, make_split_plan, render_report, run_nested_cv, train
 from loadsense.learn import model_to_json
 from loadsense.stats import stats_files
@@ -44,9 +48,18 @@ EVALUATIONS = ((TaskKind.NBACK, "multi"), (TaskKind.NBACK, "binary"), (TaskKind.
 OUT_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "golden"
 
 
+def tree_digests(dataset: Dataset) -> str:
+    """`sha256sum` lines for every file write_dataset writes, sorted by relative path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(dataset, tmp)
+        files = sorted((p.relative_to(tmp).as_posix(), p) for p in Path(tmp).rglob("*") if p.is_file())
+        return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {name}\n" for name, p in files)
+
+
 def golden_outputs() -> dict[str, bytes]:
     """File name -> bytes of every golden output."""
-    rows = featurize_dataset(generate_dataset(GeneratorConfig(n_participants=PARTICIPANTS, seed=SEED)))
+    dataset = generate_dataset(GeneratorConfig(n_participants=PARTICIPANTS, seed=SEED))
+    rows = featurize_dataset(dataset)
     plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=SEED)
     outputs = {"features.csv": features_csv(rows, SEED).encode()}
     files, _, _ = stats_files(rows, SEED)
@@ -59,6 +72,7 @@ def golden_outputs() -> dict[str, bytes]:
         digest = hashlib.sha256(model_to_json(model, seed=SEED).encode()).hexdigest()
         digests.append(f"{task.value} {scheme} {digest}\n")
     outputs["model_sha256.txt"] = "".join(digests).encode()
+    outputs["tree_sha256.txt"] = tree_digests(dataset).encode()
     return outputs
 
 

@@ -11,11 +11,13 @@ A dataset on disk is a directory tree::
         events.csv        t_s,kind,payload
 
 All numerics are decimal with '.' separator, UTF-8, LF line endings.
-Floats are written with repr() so a write/load round trip is bit-exact;
-`write_dataset` formats each column of a file once and joins the rows from
-the formatted columns.  A generated tree holds fixed-resolution values
-(synth rounds each channel to a sensor's resolution), so its cells are
-short, but any float64 is written exactly.
+Floats are written as repr() writes them, so a write/load round trip is
+bit-exact.  A channel file whose every column lies on a decimal grid of at
+most GRID_DECIMALS fraction digits (a generated tree: synth rounds each
+channel to a sensor's resolution) is formatted by numpy in one byte pass
+(`_grid_bytes`); any other channel file, and events.csv, is formatted
+column by column with repr() and joined row by row.  Both write the same
+bytes for any value the grid path accepts.
 
 In memory each sample channel of a `SessionSegment` is one read-only
 float64 array with the CSV's columns (target_lane included); events stay a
@@ -526,15 +528,122 @@ def load_dataset(root_path: str | Path, strict: bool = False, report=None) -> Da
     return Dataset(segments=tuple(iter_segments(root_path, strict, report)))
 
 
+# A float column is written by `_grid_bytes` when it lies on the grid of
+# some d <= GRID_DECIMALS fraction digits; see `_grid_column`.
+GRID_DECIMALS = 6
+
+
+def _grid_column(column: np.ndarray, lane: bool) -> tuple[np.ndarray, np.ndarray, int | None] | None:
+    """A channel column as (negative, |k|, d) when it is on the grid, so that
+    each cell is written as its sign, the digits of |k| // 10**d, and for a
+    float column '.' and the d digits of |k| % 10**d without trailing zeros
+    (at least one); None if it is off the grid.
+
+    A float column is on the grid when every value x is 0 or has
+    1e-4 <= |x|, and for the smallest d in 0..GRID_DECIMALS, k = rint(x * 10**d)
+    has |k| < 10**15 and k / 10**d == x (NaN and the infinities fail this).
+    Then x is the double nearest the decimal k * 10**-d, which has at most
+    15 significant digits (DBL_DIG), and two decimals of at most 15
+    significant digits never round to the same double.  So that decimal,
+    without trailing zeros, is the shortest string that reads back as x,
+    which is what repr() writes; and for 1e-4 <= |x| < 1e16 repr() writes
+    it in fixed notation, with at least one fraction digit.  The sign comes
+    from the sign bit, so -0.0 is written "-0.0" as repr() writes it.
+
+    A lane column (lane=True, d is None) is written as str(int(x)) writes
+    each x: it needs finite values with |x| < 10**15, truncated toward zero."""
+    magnitude = np.abs(column)
+    if lane:
+        if not np.all(magnitude < 1e15):
+            return None
+        k = np.trunc(column)
+        return k < 0, np.abs(k).astype(np.int64), None
+    # |x| < 10**15 follows from the conditions on k; checked first, it also
+    # keeps x * 10**d finite
+    if not np.all((magnitude < 1e15) & ((magnitude >= 1e-4) | (column == 0))):
+        return None
+    for decimals in range(GRID_DECIMALS + 1):
+        scale = 10.0 ** decimals
+        k = np.rint(column * scale)
+        if np.array_equal(k / scale, column) and np.all(np.abs(k) < 1e15):
+            return np.signbit(column), np.abs(k).astype(np.int64), decimals
+    return None
+
+
+def _grid_bytes(samples: np.ndarray, header: list[str]) -> bytes | None:
+    """The body of a channel file (every line below the header) when each of
+    its columns is on the grid (see `_grid_column`), else None.
+
+    The body is built as one (rows, width) uint8 matrix of ASCII bytes and a
+    keep mask: per column a sign byte, right-aligned integer digits and, for
+    a float column, '.' and left-aligned fraction digits, then ',' or LF.
+    The kept bytes, row by row, are what the repr() column writer writes."""
+    columns = []
+    for name, column in zip(header, samples.T):
+        grid = _grid_column(column, lane=name == "target_lane")
+        if grid is None:
+            return None
+        negative, k, decimals = grid
+        whole, fraction = np.divmod(k, 10 ** (decimals or 0))
+        columns.append((negative, whole, len(str(whole.max(initial=0))), fraction, decimals))
+    width = sum(2 + int_width + (1 + max(decimals, 1) if decimals is not None else 0)
+                for _, _, int_width, _, decimals in columns)
+    chars = np.empty((len(samples), width), dtype=np.uint8)
+    keep = np.ones((len(samples), width), dtype=bool)
+    pos = 0
+    for negative, whole, int_width, fraction, decimals in columns:
+        chars[:, pos] = ord("-")
+        keep[:, pos] = negative
+        pos += 1 + int_width
+        for j in range(pos - 1, pos - 1 - int_width, -1):  # least significant digit first
+            keep[:, j] = whole > 0  # no leading zero
+            whole, digit = np.divmod(whole, 10)
+            chars[:, j] = digit + ord("0")
+        keep[:, pos - 1] = True
+        if decimals is not None:
+            chars[:, pos] = ord(".")
+            frac_width = max(decimals, 1)  # an integer x is written "x.0"
+            significant = np.zeros(len(samples), dtype=bool)
+            for j in range(pos + frac_width, pos, -1):  # least significant digit first
+                fraction, digit = np.divmod(fraction, 10)
+                significant |= digit != 0  # no trailing zero
+                chars[:, j] = digit + ord("0")
+                keep[:, j] = significant
+            keep[:, pos + 1] = True
+            pos += 1 + frac_width
+        chars[:, pos] = ord(",")
+        pos += 1
+    chars[:, -1] = ord("\n")
+    return chars[keep].tobytes()
+
+
+def _write_columns(path: Path, header: list[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write a CSV file from its header and its formatted cells, one sequence per column."""
+    lines = [",".join(header), *map(",".join, zip(*columns))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+# An event payload holding one of these characters splits or merges the csv
+# reader's cells; an empty payload reads back as None.
+_PAYLOAD_BREAKERS = ',"\r\n'
+
+
 def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset as the directory tree described in the module docstring.
-    A segment under the root that it would not overwrite is an error."""
+
+    Before anything is written, a segment under the root that it would not
+    overwrite is an error, and so is an event payload that would not read
+    back as itself (empty, or holding ',', '"', CR or LF)."""
     root = Path(root_path)
     seg_dirs = {root / seg.participant_id / f"{seg.task.value}_{seg.level.name.lower()}": seg
                 for seg in dataset.segments}
     stale = sorted(m.parent for m in root.glob("*/*/manifest.json") if m.parent not in seg_dirs)
     if stale:
         raise DatasetError(f"{stale[0]}: segment not in the dataset being written; write to an empty directory")
+    for seg_dir, seg in seg_dirs.items():
+        for e in seg.events:
+            if e.payload is not None and (e.payload == "" or not set(e.payload).isdisjoint(_PAYLOAD_BREAKERS)):
+                raise DatasetError(f"{seg_dir}: event payload {e.payload!r} would not read back as written")
     for seg_dir, seg in seg_dirs.items():
         seg_dir.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -544,15 +653,18 @@ def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
             "duration_s": seg.duration_s,
         }
         (seg_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-        # each column is formatted once: repr() of a float reads back
-        # bit-exactly, and a lane is written as the int it holds
-        files = [(file, header, [list(map(str, map(int, column.tolist()))) if col_name == "target_lane"
-                                 else list(map(repr, column.tolist()))
-                                 for col_name, column in zip(header, getattr(seg, name).T)])
-                 for name, (file, header) in CHANNEL_FILES.items()]
+        for name, (file, header) in CHANNEL_FILES.items():
+            samples = getattr(seg, name)
+            body = _grid_bytes(samples, header)
+            if body is not None:
+                (seg_dir / file).write_bytes((",".join(header) + "\n").encode() + body)
+                continue
+            # each column is formatted once: repr() of a float reads back
+            # bit-exactly, and a lane is written as the int it holds
+            _write_columns(seg_dir / file, header,
+                           [list(map(str, map(int, column.tolist()))) if col_name == "target_lane"
+                            else list(map(repr, column.tolist()))
+                            for col_name, column in zip(header, samples.T)])
         # str() of an event time is its float repr()
-        files.append(("events.csv", ["t_s", "kind", "payload"],
-                      list(zip(*((str(e.t_s), e.kind.value, e.payload or "") for e in seg.events)))))
-        for file, header, columns in files:
-            lines = [",".join(header), *map(",".join, zip(*columns))]
-            (seg_dir / file).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _write_columns(seg_dir / "events.csv", ["t_s", "kind", "payload"],
+                       list(zip(*((str(e.t_s), e.kind.value, e.payload or "") for e in seg.events))))

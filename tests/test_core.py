@@ -20,6 +20,7 @@ from conftest import make_driving, make_events, make_pupil, make_segment
 from loadsense import core
 from loadsense.core import (
     CHANNEL_FILES,
+    GRID_DECIMALS,
     MIN_RR_COUNT_WARN,
     PUPIL_GAP_CONFIDENCE,
     PUPIL_MAX_GAP_FRACTION,
@@ -149,6 +150,23 @@ class TestRoundTrip:
         write_dataset(p000, tmp_path)
         write_dataset(tiny_dataset, tmp_path)
         assert len(load_dataset(tmp_path).segments) == len(tiny_dataset.segments)
+
+    @pytest.mark.parametrize("payload", ["s0,extra", 's"0', "s0\rx", "s0\nx", ""],
+                             ids=["comma", "quote", "CR", "LF", "empty"])
+    def test_payload_that_would_not_read_back_is_rejected_before_writing(self, tiny_dataset, tmp_path, payload):
+        last = tiny_dataset.segments[-1]
+        edited = dataclasses.replace(last, events=(TaskEvent(1.0, EventKind.STIMULUS_ONSET, payload), *last.events))
+        dataset = Dataset(segments=(*tiny_dataset.segments[:-1], edited))
+        seg_dir = tmp_path / last.participant_id / f"{last.task.value}_{last.level.name.lower()}"
+        with pytest.raises(DatasetError) as info:
+            write_dataset(dataset, tmp_path)
+        assert str(info.value) == f"{seg_dir}: event payload {payload!r} would not read back as written"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_payload_without_a_delimiter_quote_or_line_break_reads_back(self, clean_segment, tmp_path):
+        seg = dataclasses.replace(clean_segment, events=(TaskEvent(1.0, EventKind.STIMULUS_ONSET, " s0;\t'x' "),))
+        write_dataset(Dataset(segments=(seg,)), tmp_path)
+        assert load_dataset(tmp_path).segments == (seg,)
 
 
 class TestLoadDataset:
@@ -804,3 +822,84 @@ class TestColumnWriterOracle:
         written = _tree_bytes(tmp_path / "new")
         assert len(written) == 3 * 6 * 6
         assert written == _tree_bytes(tmp_path / "old")
+
+
+# A grid item is an int k, written as the value k / 10**d of its column's d,
+# or a float edge value taken as it is.  The ints reach both sides of the
+# 10**15 guard (a k of 16 or 17 digits gives a value below 10**15 whose repr
+# is not k / 10**d); the floats sit on either side of the 1e-4 guard or off
+# every grid.
+GRID_ITEMS = st.one_of(
+    st.integers(-10**15, 10**15),
+    st.integers(-1000, 1000),
+    st.integers(-10**17, 10**17),
+    st.sampled_from([10**15 - 1, 10**15, -(10**15 - 1), -(10**15)]),
+    st.sampled_from([-0.0, 1e-4, -1e-4, math.nextafter(1e-4, 0.0), 5e-05, 999999999999999.9, 0.1 + 0.2,
+                     math.nan, math.inf]),
+)
+GRID_LANES = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-10**16, 10**16),
+    st.sampled_from([10**15 - 1, 10**15, -(10**15 - 1), -(10**15), 2**63, -2**63 - 1, 10**20]),
+    st.sampled_from([-0.0, -0.5, 2.5, -1e15 + 0.5]),
+)
+
+
+@st.composite
+def grid_channel(draw, floats: int, lane: bool = False):
+    """Rows of one channel (floats grid columns, then a lane column if
+    lane) and whether every column meets the grid guard by construction."""
+    n = draw(st.integers(0, 6))
+    columns, on_grid = [], True
+    for _ in range(floats):
+        d = draw(st.integers(0, GRID_DECIMALS))
+        items = draw(st.lists(GRID_ITEMS, min_size=n, max_size=n))
+        column = [item / 10**d if isinstance(item, int) else item for item in items]
+        on_grid &= all(isinstance(item, int) and abs(item) < 10**15 for item in items)
+        on_grid &= all(x == 0 or abs(x) >= 1e-4 for x in column)
+        columns.append(column)
+    if lane:
+        lanes = [float(x) for x in draw(st.lists(GRID_LANES, min_size=n, max_size=n))]
+        on_grid &= all(abs(x) < 10**15 for x in lanes)
+        columns.append(lanes)
+    return list(zip(*columns)) if n else [], on_grid
+
+
+class TestGridWriterOracle:
+    """The grid path of `write_dataset` against the row-at-a-time repr() writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(([(-0.0, 1e-4), (1e-4, 2.0)], True),
+             ([(1e-4, 0.0, 1.0), (-0.0, 5e-05, 0.0)], False),
+             ([((10**15 - 1) / 10**3, -0.0, 1.0), (0.5, math.nextafter(1e-4, 0.0), 1.0)], False),
+             ([(0.5, 0.001, -3.0), (1.25, -0.002, float(10**15))], False))
+    @example(([(float(10**15 - 1), 1.0)], True),
+             ([(float(10**15), 0.5, 1.0)], False),
+             ([(-(10**15 - 1) / 10**6, -0.5, 0.0)], True),
+             ([(0.0, -0.0, float(2**63)), (1.0, 0.0, -1e20)], False))
+    @example(([(999999999999999.9, 0.5)], False), ([], True), ([], True), ([], True))
+    @given(grid_channel(2), grid_channel(3), grid_channel(3), grid_channel(2, lane=True))
+    def test_grid_columns_match_the_row_writer(self, rr, left, right, driving):
+        seg = make_segment(rr_intervals=rr[0], pupil_left=left[0], pupil_right=right[0], driving=driving[0])
+        for (_, on_grid), (name, (_, header)) in zip((rr, left, right, driving), CHANNEL_FILES.items()):
+            # a column that meets the guard by construction must take the grid path
+            if on_grid:
+                assert core._grid_bytes(getattr(seg, name), header) is not None
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(Dataset(segments=(seg,)), Path(tmp) / "new")
+            _reference_write_dataset(Dataset(segments=(seg,)), Path(tmp) / "old")
+            assert _tree_bytes(Path(tmp) / "new") == _tree_bytes(Path(tmp) / "old")
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_every_generated_channel_file_takes_the_grid_path(self, tmp_path, seed):
+        bodies = []
+
+        def spy(samples, header):
+            bodies.append(grid_bytes(samples, header))
+            return bodies[-1]
+
+        grid_bytes = core._grid_bytes
+        with mock.patch.object(core, "_grid_bytes", spy):
+            write_dataset(generate_dataset(GeneratorConfig(n_participants=3, seed=seed)), tmp_path)
+        assert len(bodies) == 3 * 6 * len(CHANNEL_FILES)
+        assert all(body is not None for body in bodies)
