@@ -197,21 +197,22 @@ def feature_matrix(rows: Sequence[FeatureRow], names: Sequence[str]) -> np.ndarr
     return X
 
 
+def provenance_header(seed: int) -> str:
+    """The `# format_version=` and `# seed=` lines that open every CSV output."""
+    return f"# format_version={FORMAT_VERSION}\n# seed={seed}\n"
+
+
 def features_csv(rows: Iterable[FeatureRow], seed: int) -> str:
     """The text of features.csv: one line per row, repr() of each feature
     (bit-exact on reading back), an empty cell for a missing one."""
-    lines = [
-        f"# format_version={FORMAT_VERSION}",
-        f"# seed={seed}",
-        "participant,task,level," + ",".join(FEATURE_NAMES),
-    ]
+    lines = ["participant,task,level," + ",".join(FEATURE_NAMES)]
     for row in rows:
         cells = [row.participant, row.task.value, row.level.name.lower()]
         for name in FEATURE_NAMES:
             v = row.features.value(name)
             cells.append("" if v is None else repr(v))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return provenance_header(seed) + "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -623,18 +624,25 @@ def _write_columns(path: Path, header: list[str], columns: Sequence[Sequence[str
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-# An event payload holding one of these characters splits or merges the csv
-# reader's cells; an empty payload reads back as None.
-_PAYLOAD_BREAKERS = ',"\r\n'
+# An event payload holding a delimiter, a quote or a line break splits or
+# merges the csv reader's cells, and a lone surrogate has no UTF-8 encoding;
+# an empty payload reads back as None.
+_PAYLOAD_BREAKERS = re.compile('[,"\r\n\ud800-\udfff]')
 
 
 def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset as the directory tree described in the module docstring.
 
-    Before anything is written, a segment under the root that it would not
-    overwrite is an error, and so is an event payload that would not read
-    back as itself (empty, or holding ',', '"', CR or LF)."""
+    Before anything is written, each of these is an error: a participant id
+    that is not one directory name under the root (empty, '.', '..', or
+    holding '/' or NUL), a segment under the root that the dataset would not
+    overwrite, and an event payload that would not read back as itself
+    (empty, or holding ',', '"', CR, LF or a lone surrogate)."""
     root = Path(root_path)
+    for seg in dataset.segments:
+        pid = seg.participant_id
+        if pid in ("", ".", "..") or "/" in pid or "\0" in pid:
+            raise DatasetError(f"{root}: participant id {pid!r} is not one directory name under the root")
     seg_dirs = {root / seg.participant_id / f"{seg.task.value}_{seg.level.name.lower()}": seg
                 for seg in dataset.segments}
     stale = sorted(m.parent for m in root.glob("*/*/manifest.json") if m.parent not in seg_dirs)
@@ -642,7 +650,7 @@ def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
         raise DatasetError(f"{stale[0]}: segment not in the dataset being written; write to an empty directory")
     for seg_dir, seg in seg_dirs.items():
         for e in seg.events:
-            if e.payload is not None and (e.payload == "" or not set(e.payload).isdisjoint(_PAYLOAD_BREAKERS)):
+            if e.payload is not None and (e.payload == "" or _PAYLOAD_BREAKERS.search(e.payload)):
                 raise DatasetError(f"{seg_dir}: event payload {e.payload!r} would not read back as written")
     for seg_dir, seg in seg_dirs.items():
         seg_dir.mkdir(parents=True, exist_ok=True)

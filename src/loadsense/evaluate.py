@@ -16,7 +16,7 @@ import numpy as np
 from . import FORMAT_VERSION
 from .cardiac import compute_cardiac_features
 from .core import (Dataset, DatasetError, FEATURE_NAMES, FeatureRow, FeatureVector, LoadLevel,
-                   SessionSegment, TaskKind, feature_matrix)
+                   SessionSegment, TaskKind, feature_matrix, provenance_header)
 from .driving import build_ideal_path, deviation_series, deviation_stats, DEFAULT_SPEED_MPS
 from .learn import MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy
 from .learn import fit_scaler, grid_search, greedy_ensemble
@@ -264,16 +264,11 @@ def render_report(report: EvaluationReport, fmt: str = "txt") -> str:
         f"{report.n_folds} folds. The random chance level is {chance}%."
     )
     if fmt == "csv":
-        lines = [
-            f"# format_version={FORMAT_VERSION}",
-            f"# seed={report.seed}",
-            f"# caption={caption}",
-            "model," + ",".join(subsets),
-        ]
+        lines = [f"# caption={caption}", "model," + ",".join(subsets)]
         for kind in REPORT_ROWS:
             cells = [f"{report.cells[(kind, s)][0]:.1f}+-{report.cells[(kind, s)][1]:.1f}" for s in subsets]
             lines.append(kind + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+        return provenance_header(report.seed) + "\n".join(lines) + "\n"
     if fmt == "txt":
         width = 16
         lines = [caption, f"seed={report.seed} format_version={FORMAT_VERSION}", ""]

@@ -417,48 +417,26 @@ def greedy_ensemble(candidates: Sequence[Candidate], y_val: Sequence[int]) -> Tr
 # JSON serialization
 
 
-def _scaler_to_json(scaler: Scaler | None):
-    if scaler is None:
-        return None
-    return {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()}
-
-
-def _scaler_from_json(doc) -> Scaler | None:
-    if doc is None:
-        return None
-    return Scaler(mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"]))
+# Each kind's params, as its fit function (or greedy_ensemble) names them.
+_PARAM_NAMES = {
+    "LDA": {"means", "cov_inv", "log_priors"},
+    "KNN": {"train_X", "train_y", "k"},
+    "AdaBoost": {"machines"},
+    "Ensemble": {"members"},
+}
 
 
 def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
     def encode(m: TrainedModel) -> dict:
-        doc = {"kind": m.kind, "classes": list(m.classes), "scaler": _scaler_to_json(m.scaler)}
-        if m.kind == "LDA":
-            doc["params"] = {
-                "means": m.params["means"].tolist(),
-                "cov_inv": m.params["cov_inv"].tolist(),
-                "log_priors": m.params["log_priors"].tolist(),
-            }
-        elif m.kind == "KNN":
-            doc["params"] = {
-                "train_X": m.params["train_X"].tolist(),
-                "train_y": m.params["train_y"].tolist(),
-                "k": m.params["k"],
-            }
-        elif m.kind == "AdaBoost":
-            doc["params"] = {"machines": m.params["machines"]}
-        elif m.kind == "Ensemble":
-            doc["params"] = {
-                "members": [[encode(member), mult] for member, mult in m.params["members"]]
-            }
-        else:
-            raise ValueError(f"unknown model kind {m.kind!r}")
-        return doc
+        params = m.params
+        if m.kind == "Ensemble":
+            params = {"members": [[encode(member), mult] for member, mult in params["members"]]}
+        return {"kind": m.kind, "classes": m.classes, "scaler": None if m.scaler is None else vars(m.scaler),
+                "params": params}
 
-    return json.dumps(
-        {"format_version": MODEL_FORMAT_VERSION, "seed": seed, "model": encode(model)},
-        indent=2,
-        sort_keys=True,
-    )
+    root = {"format_version": MODEL_FORMAT_VERSION, "seed": seed, "model": encode(model)}
+    # params as fitted: an array, a scaler's too, is written as nested lists
+    return json.dumps(root, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 def model_from_json(text: str) -> TrainedModel:
@@ -467,28 +445,18 @@ def model_from_json(text: str) -> TrainedModel:
         raise ValueError("unsupported model format version")
 
     def decode(doc) -> TrainedModel:
-        kind = doc["kind"]
-        classes = tuple(doc["classes"])
-        scaler = _scaler_from_json(doc["scaler"])
-        p = doc["params"]
-        if kind == "LDA":
-            params = {
-                "means": np.asarray(p["means"]),
-                "cov_inv": np.asarray(p["cov_inv"]),
-                "log_priors": np.asarray(p["log_priors"]),
-            }
-        elif kind == "KNN":
-            params = {
-                "train_X": np.asarray(p["train_X"]),
-                "train_y": np.asarray(p["train_y"], dtype=int),
-                "k": p["k"],
-            }
-        elif kind == "AdaBoost":
-            params = {"machines": [[tuple(s) for s in stumps] for stumps in p["machines"]]}
-        elif kind == "Ensemble":
-            params = {"members": [(decode(m), mult) for m, mult in p["members"]]}
-        else:
+        kind, params = doc["kind"], doc["params"]
+        if kind not in _PARAM_NAMES:
             raise ValueError(f"unknown model kind {kind!r}")
-        return TrainedModel(kind=kind, classes=classes, params=params, scaler=scaler)
+        if set(params) != _PARAM_NAMES[kind]:
+            raise ValueError(f"{kind} model: params {sorted(params)}, expected {sorted(_PARAM_NAMES[kind])}")
+        if kind == "AdaBoost":
+            params = {"machines": [[tuple(stump) for stump in stumps] for stumps in params["machines"]]}
+        elif kind == "Ensemble":
+            params = {"members": [(decode(member), mult) for member, mult in params["members"]]}
+        else:  # every LDA and KNN param but KNN's k is an array
+            params = {name: value if name == "k" else np.asarray(value) for name, value in params.items()}
+        scaler = None if doc["scaler"] is None else Scaler(**{n: np.asarray(v) for n, v in doc["scaler"].items()})
+        return TrainedModel(kind=kind, classes=tuple(doc["classes"]), params=params, scaler=scaler)
 
     return decode(root["model"])

@@ -15,8 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import FORMAT_VERSION
-from .core import FeatureRow, LoadLevel, TaskKind, feature_matrix
+from .core import FeatureRow, LoadLevel, TaskKind, feature_matrix, provenance_header
 
 # Table 2 style dimensions: one representative value per physiological channel
 DIMENSIONS = ("hr_mean", "hrv_rmssd", "lhipa_right", "lhipa_left", "drive_avg_dev")
@@ -325,7 +324,7 @@ def stats_files(rows: Iterable[FeatureRow], seed: int) -> tuple[dict[str, str], 
     manipulation checks, easy-vs-medium and medium-vs-hard per task, on the
     retained dimensions), then the retained and excluded dimension sets."""
     matrices = condition_matrices(rows)
-    header = f"# format_version={FORMAT_VERSION}\n# seed={seed}\n"
+    header = provenance_header(seed)
 
     alphas, retained, excluded = reliability_screen(matrices)
     reliability = ["dimension,alpha,retained"]

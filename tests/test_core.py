@@ -151,8 +151,8 @@ class TestRoundTrip:
         write_dataset(tiny_dataset, tmp_path)
         assert len(load_dataset(tmp_path).segments) == len(tiny_dataset.segments)
 
-    @pytest.mark.parametrize("payload", ["s0,extra", 's"0', "s0\rx", "s0\nx", ""],
-                             ids=["comma", "quote", "CR", "LF", "empty"])
+    @pytest.mark.parametrize("payload", ["s0,extra", 's"0', "s0\rx", "s0\nx", "", "a\udc80"],
+                             ids=["comma", "quote", "CR", "LF", "empty", "surrogate"])
     def test_payload_that_would_not_read_back_is_rejected_before_writing(self, tiny_dataset, tmp_path, payload):
         last = tiny_dataset.segments[-1]
         edited = dataclasses.replace(last, events=(TaskEvent(1.0, EventKind.STIMULUS_ONSET, payload), *last.events))
@@ -161,6 +161,17 @@ class TestRoundTrip:
         with pytest.raises(DatasetError) as info:
             write_dataset(dataset, tmp_path)
         assert str(info.value) == f"{seg_dir}: event payload {payload!r} would not read back as written"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("pid", ["..", ".", "", "a/b", "p\0"], ids=["parent", "self", "empty", "slash", "NUL"])
+    def test_participant_id_that_is_not_one_directory_name_is_rejected_before_writing(self, tiny_dataset, tmp_path,
+                                                                                      pid):
+        # the bad id comes last, after segments that would otherwise be written
+        last = dataclasses.replace(tiny_dataset.segments[-1], participant_id=pid)
+        root = tmp_path / "tree"
+        with pytest.raises(DatasetError) as info:
+            write_dataset(Dataset(segments=(*tiny_dataset.segments[:-1], last)), root)
+        assert str(info.value) == f"{root}: participant id {pid!r} is not one directory name under the root"
         assert list(tmp_path.iterdir()) == []
 
     def test_payload_without_a_delimiter_quote_or_line_break_reads_back(self, clean_segment, tmp_path):

@@ -561,31 +561,84 @@ class TestDeterminismAndScaling:
         assert np.array_equal(model.predict(Xt), model.predict(Xt))
 
 
+def _scaled_model(kind: str, rng=None) -> TrainedModel:
+    """A fitted model of `kind` with its scaler attached, on three 2-D blobs."""
+    rng = rng or np.random.default_rng(14)
+    X, y = blobs(rng, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)], 15)
+    scaler = fit_scaler(X)
+    Xs = scaler.transform(X)
+    fitters = {
+        "LDA": lambda: fit_lda(Xs, y, shrinkage=0.1),
+        "KNN": lambda: fit_knn(Xs, y, k=3),
+        "AdaBoost": lambda: fit_adaboost(Xs, y, n_stumps=10),
+    }
+    return dataclasses.replace(fitters[kind](), scaler=scaler)
+
+
+def _ensemble(rng=None) -> TrainedModel:
+    rng = rng or np.random.default_rng(15)
+    X, y = blobs(rng, [(-2.0,), (2.0,)], 20)
+    return greedy_ensemble(grid_search(X, y, X, y), y)
+
+
+def _assert_same(restored, fitted):
+    """Equal values held in the same way: a model field by field, an array
+    as an array of the same dtype, an int as an int, a float as a float."""
+    if isinstance(fitted, TrainedModel):
+        assert (restored.kind, restored.classes) == (fitted.kind, fitted.classes)
+        _assert_same(restored.scaler and vars(restored.scaler), fitted.scaler and vars(fitted.scaler))
+        _assert_same(restored.params, fitted.params)
+    elif isinstance(fitted, dict):
+        assert type(restored) is dict and restored.keys() == fitted.keys()
+        for name in fitted:
+            _assert_same(restored[name], fitted[name])
+    elif isinstance(fitted, (list, tuple)):
+        assert type(restored) is type(fitted) and len(restored) == len(fitted)
+        for r, f in zip(restored, fitted):
+            _assert_same(r, f)
+    elif isinstance(fitted, np.ndarray):
+        assert isinstance(restored, np.ndarray) and restored.dtype == fitted.dtype
+        assert np.array_equal(restored, fitted)
+    else:
+        assert isinstance(restored, float if isinstance(fitted, float) else type(fitted)) and restored == fitted
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["LDA", "KNN", "AdaBoost"])
     def test_round_trip_preserves_predictions(self, kind):
         rng = np.random.default_rng(14)
-        X, y = blobs(rng, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)], 15)
-        scaler = fit_scaler(X)
-        Xs = scaler.transform(X)
-        fitters = {
-            "LDA": lambda: dataclasses.replace(fit_lda(Xs, y, shrinkage=0.1), scaler=scaler),
-            "KNN": lambda: dataclasses.replace(fit_knn(Xs, y, k=3), scaler=scaler),
-            "AdaBoost": lambda: dataclasses.replace(fit_adaboost(Xs, y, n_stumps=10), scaler=scaler),
-        }
-        model = fitters[kind]()
+        model = _scaled_model(kind, rng)
         restored = model_from_json(model_to_json(model, seed=7))
         Xt = rng.normal(size=(30, 2))
         assert np.array_equal(model.predict(Xt), restored.predict(Xt))
 
     def test_ensemble_round_trip(self):
         rng = np.random.default_rng(15)
-        X, y = blobs(rng, [(-2.0,), (2.0,)], 20)
-        candidates = grid_search(X, y, X, y)
-        ensemble = greedy_ensemble(candidates, y)
+        ensemble = _ensemble(rng)
         restored = model_from_json(model_to_json(ensemble))
         Xt = rng.normal(size=(40, 1))
         assert np.array_equal(ensemble.predict(Xt), restored.predict(Xt))
+
+    @pytest.mark.parametrize("kind", ["LDA", "KNN", "AdaBoost", "Ensemble"])
+    def test_decoded_model_is_the_fitted_model(self, kind):
+        model = _ensemble() if kind == "Ensemble" else _scaled_model(kind)
+        _assert_same(model_from_json(model_to_json(model, seed=7)), model)
+
+    @pytest.mark.parametrize("kind", ["LDA", "KNN", "AdaBoost", "Ensemble"])
+    def test_encoding_a_decoded_model_gives_the_same_text(self, kind):
+        text = model_to_json(_ensemble() if kind == "Ensemble" else _scaled_model(kind), seed=7)
+        assert model_to_json(model_from_json(text), seed=7) == text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(kind="SVM"), "unknown model kind 'SVM'"),
+        (lambda doc: doc["params"].pop("k"), r"^KNN model: params \['train_X', 'train_y'\]"),
+        (lambda doc: doc["params"].update(weights=[1.0]), r"^KNN model: params \['k', 'train_X', 'train_y', 'weights'\]"),
+    ], ids=["unknown_kind", "missing_param", "extra_param"])
+    def test_malformed_model_is_rejected_naming_its_kind(self, edit, message):
+        root = json.loads(model_to_json(_scaled_model("KNN")))
+        edit(root["model"])
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps(root))
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ValueError, match="format version"):

@@ -14,9 +14,9 @@ PROGRAM_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 # Public names that only tests call today, each waiting for a consumer.
 ALLOWED_UNREFERENCED = {
-    "model_from_json",  # ROADMAP item 4: `loadsense predict` reads model.json
-    "nback_rate",  # ROADMAP item 4: `stats` writes secondary_task.csv
-    "visual_search_perf",  # ROADMAP item 4: `stats` writes secondary_task.csv
+    "model_from_json",  # ROADMAP item 6: `loadsense predict` reads model.json
+    "nback_rate",  # ROADMAP item 6: `stats` writes secondary_task.csv
+    "visual_search_perf",  # ROADMAP item 6: `stats` writes secondary_task.csv
 }
 
 
