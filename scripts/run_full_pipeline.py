@@ -23,10 +23,10 @@ def main() -> int:
 
     out = args.out
     seed = str(args.seed)
+    # no validate step: features reports every skipped segment and warning on stderr
     steps: list[list[str]] = [
         ["synth", "--out", str(out / "synth"), "--participants", str(args.participants),
          "--seed", seed],
-        ["validate", "--dataset", str(out / "synth" / "dataset")],
         ["features", "--dataset", str(out / "synth" / "dataset"),
          "--out", str(out / "features"), "--seed", seed],
         ["stats", "--dataset", str(out / "synth" / "dataset"),

@@ -3,27 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .core import SessionSegment
-
 
 # artifact-rejection bounds for raw RR intervals
 MIN_RR_MS = 300.0
 MAX_RR_MS = 2000.0
 MAX_SUCCESSIVE_CHANGE = 0.25
-
-
-@dataclass(frozen=True)
-class CardiacFeatures:
-    hr_mean: float
-    hr_min: float
-    hr_max: float
-    hr_std: float
-    rmssd: float
 
 
 def clean_rr(rr: Sequence[float]) -> list[float]:
@@ -64,13 +51,13 @@ def rmssd(rr: Sequence[float]) -> float:
     return math.sqrt(float(np.mean(diffs**2)))
 
 
-def compute_cardiac_features(seg: SessionSegment) -> CardiacFeatures | None:
-    """All five ECG features for one segment, or None when the channel is unusable."""
+def compute_cardiac_features(rr_intervals: np.ndarray) -> dict[str, float] | None:
+    """The five ECG features of an (onset_s, rr_ms) array by feature name; None when unusable."""
     try:
-        kept = clean_rr(seg.rr_intervals[:, 1])
+        kept = clean_rr(rr_intervals[:, 1])
     except ValueError:
         return None
     if len(kept) < 2:
         return None
     mean, lo, hi, std = hr_stats(kept)
-    return CardiacFeatures(mean, lo, hi, std, rmssd(kept))
+    return {"hr_mean": mean, "hr_min": lo, "hr_max": hi, "hr_std": std, "hrv_rmssd": rmssd(kept)}

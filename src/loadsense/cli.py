@@ -17,13 +17,11 @@ import sys
 from pathlib import Path
 
 from . import DEFAULT_SEED, FORMAT_VERSION
-from .core import DatasetError, FeatureRow, TaskKind, features_csv, iter_segments, validate_dataset, write_dataset
+from .core import TASKS, DatasetError, FeatureRow, features_csv, iter_segments, validate_dataset, write_dataset
 from .evaluate import FEATURE_SUBSETS, featurize_segments, make_split_plan, render_report, run_nested_cv, train
 from .learn import model_to_json
 from .stats import stats_files
 from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
-
-TASK_NAMES = {"nback": TaskKind.NBACK, "visual_search": TaskKind.VISUAL_SEARCH}
 
 
 def _write_run_record(out_dir: Path, argv: list[str], seed: int, config: dict) -> None:
@@ -112,7 +110,7 @@ def cmd_train(args, argv) -> int:
         return 2
     rows = _feature_rows(args)
     subset = args.subset[0] if args.subset else "all"
-    ensemble = train(rows, TASK_NAMES[args.task], args.scheme, subset, args.seed)
+    ensemble = train(rows, TASKS[args.task], args.scheme, subset, args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,7 +123,7 @@ def cmd_train(args, argv) -> int:
 
 def cmd_evaluate(args, argv) -> int:
     rows = _feature_rows(args)
-    task = TASK_NAMES[args.task]
+    task = TASKS[args.task]
     participants = sorted({r.participant for r in rows})
     plan = make_split_plan(participants, k=5, seed=args.seed)
     subsets = args.subset if args.subset else None
@@ -182,14 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit and save an ensemble model")
     common(p)
-    p.add_argument("--task", required=True, choices=sorted(TASK_NAMES))
+    p.add_argument("--task", required=True, choices=sorted(TASKS))
     p.add_argument("--scheme", choices=["multi", "binary"], default="multi")
     p.add_argument("--subset", action="append", choices=sorted(FEATURE_SUBSETS))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="nested cross-validation report")
     common(p)
-    p.add_argument("--task", required=True, choices=sorted(TASK_NAMES))
+    p.add_argument("--task", required=True, choices=sorted(TASKS))
     p.add_argument("--scheme", choices=["multi", "binary"], default="multi")
     p.add_argument("--subset", action="append", choices=sorted(FEATURE_SUBSETS))
     p.add_argument("--threads", type=int, default=1)

@@ -64,7 +64,9 @@ class LoadLevel(IntEnum):
     HARD = 2
 
 
-_LEVEL_NAMES = {"easy": LoadLevel.EASY, "medium": LoadLevel.MEDIUM, "hard": LoadLevel.HARD}
+# the on-disk and command-line names: task value -> TaskKind, lower-case level name -> LoadLevel
+TASKS = {task.value: task for task in TaskKind}
+LEVELS = {level.name.lower(): level for level in LoadLevel}
 
 
 class EventKind(Enum):
@@ -140,18 +142,6 @@ class Dataset:
     segments: tuple[SessionSegment, ...]
 
 
-FEATURE_NAMES = (
-    "hr_mean",
-    "hr_min",
-    "hr_max",
-    "hr_std",
-    "hrv_rmssd",
-    "lhipa_left",
-    "lhipa_right",
-    "drive_avg_dev",
-)
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     """The eight model input features; None marks a feature whose channel was unusable."""
@@ -176,6 +166,9 @@ class FeatureVector:
         return getattr(self, name)
 
 
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+
+
 @dataclass(frozen=True)
 class FeatureRow:
     """One segment's features, keyed by its (participant, task, level)."""
@@ -188,13 +181,8 @@ class FeatureRow:
 
 def feature_matrix(rows: Sequence[FeatureRow], names: Sequence[str]) -> np.ndarray:
     """The (rows, names) float array of the named features; NaN marks a missing one."""
-    X = np.full((len(rows), len(names)), np.nan)
-    for i, row in enumerate(rows):
-        for j, name in enumerate(names):
-            v = row.features.value(name)
-            if v is not None:
-                X[i, j] = v
-    return X
+    values = [[row.features.value(name) for name in names] for row in rows]
+    return np.array(values, dtype=np.float64).reshape(len(rows), len(names))  # None reads as NaN
 
 
 def provenance_header(seed: int) -> str:
@@ -448,13 +436,10 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{manifest_path}: bad manifest field: {exc}") from None
 
-    try:
-        task = TaskKind(task_name)
-    except ValueError:
-        raise DatasetError(f"{manifest_path}: field 'task' has unknown value {task_name!r}") from None
-    if level_name not in _LEVEL_NAMES:
-        raise DatasetError(f"{manifest_path}: field 'level' has unknown value {level_name!r}")
-    level = _LEVEL_NAMES[level_name]
+    for field, value, names in (("task", task_name, TASKS), ("level", level_name, LEVELS)):
+        if not isinstance(value, str) or value not in names:
+            raise DatasetError(f"{manifest_path}: field {field!r} has unknown value {value!r}")
+    task, level = TASKS[task_name], LEVELS[level_name]
 
     channels = {name: _read_csv(seg_dir / file, header) for name, (file, header) in CHANNEL_FILES.items()}
     events_path = seg_dir / "events.csv"

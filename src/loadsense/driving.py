@@ -93,6 +93,18 @@ def deviation_stats(v: np.ndarray) -> tuple[float, float, float, float, float]:
     return float(np.mean(v)), float(np.median(v)), float(np.min(v)), float(np.max(v)), std
 
 
+def compute_drive_avg_dev(driving: np.ndarray) -> float | None:
+    """Mean deviation of the trace from the ideal path its target_lane changes
+    imply; None when `build_ideal_path` or `deviation_series` rejects it."""
+    t, lane = driving[:, 0], driving[:, 2]
+    changes = np.flatnonzero(np.diff(lane)) + 1
+    change_points = [(DEFAULT_SPEED_MPS * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
+    try:
+        return deviation_stats(deviation_series(driving, build_ideal_path(change_points)))[0]
+    except ValueError:
+        return None
+
+
 def _stimulus_windows(events: Sequence[TaskEvent]) -> list[tuple[TaskEvent, float]]:
     """Stimulus markers paired with their window end (next onset, or +3 s for the last)."""
     stimuli = [e for e in events if e.kind in STIMULUS_KINDS]

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import FORMAT_VERSION
 from .cardiac import compute_cardiac_features
-from .core import (Dataset, DatasetError, FEATURE_NAMES, FeatureRow, FeatureVector, LoadLevel,
-                   SessionSegment, TaskKind, feature_matrix, provenance_header)
-from .driving import build_ideal_path, deviation_series, deviation_stats, DEFAULT_SPEED_MPS
+from .core import (Dataset, DatasetError, FeatureRow, FeatureVector, LoadLevel, SessionSegment, TaskKind,
+                   feature_matrix, provenance_header)
+from .driving import compute_drive_avg_dev
 from .learn import MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy
 from .learn import fit_scaler, grid_search, greedy_ensemble
 from .pupil import compute_lhipa
@@ -83,35 +83,14 @@ def make_split_plan(participant_ids: Sequence[str], k: int = 5, seed: int = 0) -
     return SplitPlan(folds=tuple(_fold(shuffled, tuple(shuffled[i::k])) for i in range(k)), seed=seed)
 
 
-def _change_points_from_trace(driving: np.ndarray):
-    """Recover lane-change points (s, from, to) from the target_lane column."""
-    t, lane = driving[:, 0], driving[:, 2]
-    changes = np.flatnonzero(np.diff(lane)) + 1
-    return [(DEFAULT_SPEED_MPS * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
-
-
 def featurize_segment(seg: SessionSegment) -> FeatureVector:
-    values: dict[str, float | None] = dict.fromkeys(FEATURE_NAMES)  # None: missing
-
-    cardiac = compute_cardiac_features(seg)
-    if cardiac is not None:
-        values["hr_mean"] = cardiac.hr_mean
-        values["hr_min"] = cardiac.hr_min
-        values["hr_max"] = cardiac.hr_max
-        values["hr_std"] = cardiac.hr_std
-        values["hrv_rmssd"] = cardiac.rmssd
-
-    values["lhipa_left"] = compute_lhipa(seg.pupil_left)
-    values["lhipa_right"] = compute_lhipa(seg.pupil_right)
-
-    try:  # deviation_series rejects a trace shorter than 1 s or with a non-finite time or position
-        path = build_ideal_path(_change_points_from_trace(seg.driving))
-        dev = deviation_series(seg.driving, path)
-        values["drive_avg_dev"] = deviation_stats(dev)[0]
-    except ValueError:
-        pass
-
-    return FeatureVector(**values)
+    """The merged channel features; an unusable channel's features are None."""
+    return FeatureVector(
+        **(compute_cardiac_features(seg.rr_intervals) or {}),
+        lhipa_left=compute_lhipa(seg.pupil_left),
+        lhipa_right=compute_lhipa(seg.pupil_right),
+        drive_avg_dev=compute_drive_avg_dev(seg.driving),
+    )
 
 
 def featurize_segments(segments: Iterable[SessionSegment]) -> list[FeatureRow]:

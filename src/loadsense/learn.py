@@ -424,6 +424,7 @@ _PARAM_NAMES = {
     "AdaBoost": {"machines"},
     "Ensemble": {"members"},
 }
+_MODEL_FIELDS = {"kind", "classes", "scaler", "params"}
 
 
 def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
@@ -440,23 +441,36 @@ def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
 
 
 def model_from_json(text: str) -> TrainedModel:
+    """The model of a `model_to_json` document; ValueError names the kind and field of a bad one."""
     root = json.loads(text)
+    if not isinstance(root, dict) or "model" not in root:
+        raise ValueError("model document: expected a JSON object with a 'model' field")
     if root.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError("unsupported model format version")
 
     def decode(doc) -> TrainedModel:
-        kind, params = doc["kind"], doc["params"]
-        if kind not in _PARAM_NAMES:
-            raise ValueError(f"unknown model kind {kind!r}")
-        if set(params) != _PARAM_NAMES[kind]:
-            raise ValueError(f"{kind} model: params {sorted(params)}, expected {sorted(_PARAM_NAMES[kind])}")
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if not isinstance(kind, str) or kind not in _PARAM_NAMES:
+            raise ValueError(f"field 'kind': unknown model kind {kind!r}")
+        if set(doc) != _MODEL_FIELDS:
+            raise ValueError(f"{kind} model: fields {sorted(doc)}, expected {sorted(_MODEL_FIELDS)}")
+        params, classes = doc["params"], doc["classes"]
+        if not isinstance(params, dict) or set(params) != _PARAM_NAMES[kind]:
+            names = sorted(params) if isinstance(params, dict) else params
+            raise ValueError(f"{kind} model: params {names!r}, expected {sorted(_PARAM_NAMES[kind])}")
+        if not isinstance(classes, list) or not all(type(c) is int for c in classes):
+            raise ValueError(f"{kind} model: field 'classes' is {classes!r}, not a list of ints")
         if kind == "AdaBoost":
             params = {"machines": [[tuple(stump) for stump in stumps] for stumps in params["machines"]]}
         elif kind == "Ensemble":
             params = {"members": [(decode(member), mult) for member, mult in params["members"]]}
         else:  # every LDA and KNN param but KNN's k is an array
             params = {name: value if name == "k" else np.asarray(value) for name, value in params.items()}
+        if kind == "KNN":
+            k, n_train = params["k"], len(params["train_X"]) if params["train_X"].ndim else 0
+            if type(k) is not int or not 1 <= k <= n_train:
+                raise ValueError(f"KNN model: field 'k' is {k!r}, not an int in [1, {n_train}]")
         scaler = None if doc["scaler"] is None else Scaler(**{n: np.asarray(v) for n, v in doc["scaler"].items()})
-        return TrainedModel(kind=kind, classes=tuple(doc["classes"]), params=params, scaler=scaler)
+        return TrainedModel(kind=kind, classes=tuple(classes), params=params, scaler=scaler)
 
     return decode(root["model"])

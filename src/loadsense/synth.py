@@ -40,7 +40,9 @@ from typing import get_type_hints
 import numpy as np
 
 from .core import (
+    LEVELS,
     SEGMENT_MAX_DURATION_S,
+    TASKS,
     Dataset,
     EventKind,
     LoadLevel,
@@ -271,8 +273,6 @@ def generate_dataset(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
 
 _SCALAR_TYPES = {name: kind for name, kind in get_type_hints(GeneratorConfig).items() if name != "targets"}
 _TARGET_TYPES = get_type_hints(LevelTargets)
-_TASKS = {task.value: task for task in TaskKind}
-_LEVELS = {level.name.lower(): level for level in LoadLevel}
 # [low, high] of each bounded scalar; a segment holds the whole protocol
 _RANGES = {
     "n_participants": (1, math.inf),
@@ -311,9 +311,9 @@ def load_config(path: str | Path) -> GeneratorConfig:
         parts = key.split(".")
         if key in _SCALAR_TYPES:
             kind, fields = _SCALAR_TYPES[key], scalars
-        elif len(parts) == 3 and parts[0] in _TASKS and parts[1] in _LEVELS and parts[2] in _TARGET_TYPES:
+        elif len(parts) == 3 and parts[0] in TASKS and parts[1] in LEVELS and parts[2] in _TARGET_TYPES:
             kind = _TARGET_TYPES[parts[2]]
-            fields = target_fields.setdefault((_TASKS[parts[0]], _LEVELS[parts[1]]), {})
+            fields = target_fields.setdefault((TASKS[parts[0]], LEVELS[parts[1]]), {})
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:

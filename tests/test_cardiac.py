@@ -99,26 +99,26 @@ class TestRmssd:
 
 class TestComputeCardiacFeatures:
     def test_composes_the_formulas(self, clean_segment):
-        feats = compute_cardiac_features(clean_segment)
+        feats = compute_cardiac_features(clean_segment.rr_intervals)
         rr = [v for _, v in clean_segment.rr_intervals]
         mean, lo, hi, std = hr_stats(rr)
         assert feats is not None
-        assert (feats.hr_mean, feats.hr_min, feats.hr_max, feats.hr_std) == (mean, lo, hi, std)
-        assert feats.rmssd == rmssd(rr)
+        assert (feats["hr_mean"], feats["hr_min"], feats["hr_max"], feats["hr_std"]) == (mean, lo, hi, std)
+        assert feats["hrv_rmssd"] == rmssd(rr)
         assert clean_rr(rr) == rr  # every beat used
 
     def test_empty_channel_gives_none(self, clean_segment):
         seg = dataclasses.replace(clean_segment, rr_intervals=())
-        assert compute_cardiac_features(seg) is None
+        assert compute_cardiac_features(seg.rr_intervals) is None
 
     def test_unusable_channel_gives_none(self, clean_segment):
         seg = dataclasses.replace(clean_segment, rr_intervals=((1.0, 10.0), (1.1, 20.0)))
-        assert compute_cardiac_features(seg) is None
+        assert compute_cardiac_features(seg.rr_intervals) is None
 
     def test_hr_order_invariant_holds(self, clean_segment):
         rng = np.random.default_rng(0)
         rr = tuple((float(t), float(800 + rng.normal(0, 30))) for t in np.arange(1, 100))
         seg = dataclasses.replace(clean_segment, rr_intervals=rr)
-        feats = compute_cardiac_features(seg)
-        assert feats.hr_min <= feats.hr_mean <= feats.hr_max
-        assert feats.hr_std >= 0 and feats.rmssd >= 0
+        feats = compute_cardiac_features(seg.rr_intervals)
+        assert feats["hr_min"] <= feats["hr_mean"] <= feats["hr_max"]
+        assert feats["hr_std"] >= 0 and feats["hrv_rmssd"] >= 0

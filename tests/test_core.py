@@ -201,6 +201,16 @@ class TestLoadDataset:
         assert "level" in str(exc.value)
         assert "extreme" in str(exc.value)
 
+    @pytest.mark.parametrize("field", ["task", "level"])
+    def test_non_string_task_or_level_is_a_dataset_error(self, clean_segment, tmp_path, field):
+        write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
+        manifest = tmp_path / "p000" / "nback_easy" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[field] = [doc[field]]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=rf"manifest.json: field '{field}' has unknown value \["):
+            load_dataset(tmp_path, strict=True)
+
     def test_unknown_event_kind_errors(self, clean_segment, tmp_path):
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
         events = tmp_path / "p000" / "nback_easy" / "events.csv"

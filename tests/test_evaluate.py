@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_segment
 from loadsense import evaluate
-from loadsense.cardiac import compute_cardiac_features
-from loadsense.core import FEATURE_NAMES, Dataset, LoadLevel, TaskKind, feature_matrix, validate_segment
+from loadsense.cardiac import clean_rr, compute_cardiac_features, hr_stats, rmssd
+from loadsense.core import FEATURE_NAMES, Dataset, FeatureVector, LoadLevel, TaskKind, feature_matrix, validate_segment
+from loadsense.driving import DEFAULT_SPEED_MPS, TRANSITION_M, build_ideal_path, deviation_series, deviation_stats
 from loadsense.evaluate import (
     FEATURE_SUBSETS,
     REPORT_ROWS,
@@ -96,9 +97,9 @@ class TestSplitPlanOracle:
 class TestFeaturize:
     def test_feature_values_match_the_feature_modules(self, clean_segment):
         row = featurize_segment(clean_segment)
-        cardiac = compute_cardiac_features(clean_segment)
-        assert row.value("hr_mean") == cardiac.hr_mean
-        assert row.value("hrv_rmssd") == cardiac.rmssd
+        cardiac = compute_cardiac_features(clean_segment.rr_intervals)
+        assert row.value("hr_mean") == cardiac["hr_mean"]
+        assert row.value("hrv_rmssd") == cardiac["hrv_rmssd"]
         assert row.value("lhipa_left") == compute_lhipa(clean_segment.pupil_left)
         assert row.value("lhipa_right") == compute_lhipa(clean_segment.pupil_right)
 
@@ -137,6 +138,79 @@ class TestFeaturize:
 @functools.lru_cache(maxsize=None)
 def synthetic_segment():
     return generate_dataset(GeneratorConfig(seed=3, n_participants=1)).segments[0]
+
+
+def _reference_featurize_segment(seg):
+    """featurize_segment as it was when evaluate renamed the cardiac fields by
+    hand and rebuilt the lane-change points from the trace itself."""
+    values = dict.fromkeys(FEATURE_NAMES)
+    try:
+        kept = clean_rr(seg.rr_intervals[:, 1])
+    except ValueError:
+        kept = []
+    if len(kept) >= 2:
+        values["hr_mean"], values["hr_min"], values["hr_max"], values["hr_std"] = hr_stats(kept)
+        values["hrv_rmssd"] = rmssd(kept)
+    values["lhipa_left"] = compute_lhipa(seg.pupil_left)
+    values["lhipa_right"] = compute_lhipa(seg.pupil_right)
+    try:
+        t, lane = seg.driving[:, 0], seg.driving[:, 2]
+        changes = np.flatnonzero(np.diff(lane)) + 1
+        points = [(DEFAULT_SPEED_MPS * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
+        values["drive_avg_dev"] = deviation_stats(deviation_series(seg.driving, build_ideal_path(points)))[0]
+    except ValueError:
+        pass
+    return FeatureVector(**values)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_segments():
+    """name -> (segment, the features it leaves missing), each built from a generated segment."""
+    seg = synthetic_segment()
+    shifted = np.array(seg.driving)
+    shifted[:, 0] += 5.0  # a trace whose clock does not start at 0
+    non_finite = np.array(seg.driving)
+    non_finite[100, 1] = math.nan
+    overlapping = np.array(seg.driving)
+    lane = overlapping[:, 2]
+    first = int(np.flatnonzero(np.diff(lane))[0]) + 1
+    lane[first + 33:] = lane[first - 1]  # back 1 s after the first change, inside TRANSITION_M
+    assert DEFAULT_SPEED_MPS * (overlapping[first + 33, 0] - overlapping[first, 0]) <= TRANSITION_M
+    heart = {"hr_mean", "hr_min", "hr_max", "hr_std", "hrv_rmssd"}
+    return {
+        "generated": (seg, set()),
+        "empty_rr": (dataclasses.replace(seg, rr_intervals=()), heart),
+        "every_beat_rejected": (dataclasses.replace(seg, rr_intervals=((1.0, 10.0), (1.8, 2500.0))), heart),
+        "one_beat_kept": (dataclasses.replace(seg, rr_intervals=((1.0, 800.0), (1.8, 20.0))), heart),
+        "empty_pupils": (dataclasses.replace(seg, pupil_left=(), pupil_right=()), {"lhipa_left", "lhipa_right"}),
+        "empty_driving": (dataclasses.replace(seg, driving=()), {"drive_avg_dev"}),
+        "driving_clock_shifted": (dataclasses.replace(seg, driving=shifted), set()),
+        "driving_under_1s": (dataclasses.replace(seg, driving=seg.driving[:30]), {"drive_avg_dev"}),
+        "non_finite_lateral": (dataclasses.replace(seg, driving=non_finite), {"drive_avg_dev"}),
+        "overlapping_lane_changes": (dataclasses.replace(seg, driving=overlapping), {"drive_avg_dev"}),
+    }
+
+
+def _assert_same_features(new, old):
+    for f in dataclasses.fields(FeatureVector):
+        assert repr(getattr(new, f.name)) == repr(getattr(old, f.name)), f.name
+
+
+class TestFeaturizeSegmentOracle:
+    """featurize_segment, now one merge of the channel featurizers, against the
+    hand-written join it replaced: every field's repr is equal."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_matches_the_reference_on_a_cohort(self, seed):
+        for seg in generate_dataset(GeneratorConfig(seed=seed, n_participants=10)).segments:
+            _assert_same_features(featurize_segment(seg), _reference_featurize_segment(seg))
+
+    @pytest.mark.parametrize("name", list(_edge_segments()))
+    def test_matches_the_reference_on_an_edge_segment(self, name):
+        seg, missing = _edge_segments()[name]
+        features = featurize_segment(seg)
+        _assert_same_features(features, _reference_featurize_segment(seg))
+        assert features.missing == missing
 
 
 # every float column of the on-disk format: (segment field, position in the sample tuple)

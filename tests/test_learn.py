@@ -640,6 +640,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             model_from_json(json.dumps(root))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda root: root["model"]["params"].update(k="3"), r"^KNN model: field 'k' is '3', not an int in \[1, 45\]"),
+        (lambda root: root["model"]["params"].update(k=0), r"^KNN model: field 'k' is 0,"),
+        (lambda root: root["model"]["params"].update(k=99), r"^KNN model: field 'k' is 99,"),
+        (lambda root: root["model"]["params"].update(k=True), r"^KNN model: field 'k' is True,"),
+        (lambda root: root["model"].pop("scaler"), r"^KNN model: fields \['classes', 'kind', 'params'\], expected"),
+        (lambda root: root["model"].pop("classes"), r"^KNN model: fields \['kind', 'params', 'scaler'\], expected"),
+        (lambda root: root["model"].update(classes=[0, "1", 2]), r"^KNN model: field 'classes' is \[0, '1', 2\],"),
+        (lambda root: root["model"].update(classes=[0, True, 2]), r"^KNN model: field 'classes' is \[0, True, 2\],"),
+        (lambda root: root["model"].update(params=[]), r"^KNN model: params \[\], expected"),
+        (lambda root: root["model"].update(kind=["KNN"]), r"^field 'kind': unknown model kind \['KNN'\]"),
+        (lambda root: root["model"].pop("kind"), r"^field 'kind': unknown model kind None"),
+        (lambda root: root.pop("model"), r"^model document: expected a JSON object with a 'model' field"),
+        ('[{"format_version": 1}]', r"^model document: expected a JSON object"),
+    ], ids=["k_string", "k_zero", "k_above_train_rows", "k_bool", "no_scaler", "no_classes", "class_string",
+            "class_bool", "params_array", "kind_list", "no_kind", "no_model", "array_root"])
+    def test_malformed_document_is_a_value_error_naming_the_field(self, edit, message):
+        """`edit` changes a KNN model's document in place, or is the whole document."""
+        text = edit
+        if callable(edit):
+            root = json.loads(model_to_json(_scaled_model("KNN")))
+            edit(root)
+            text = json.dumps(root)
+        with pytest.raises(ValueError, match=message):
+            model_from_json(text)
+
     def test_version_mismatch_rejected(self):
         with pytest.raises(ValueError, match="format version"):
             model_from_json('{"format_version": 999, "model": {}}')
