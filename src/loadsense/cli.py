@@ -2,8 +2,10 @@
 
 Subcommands: synth | validate | features | stats | train | evaluate | report.
 Exit codes: 0 success, 1 data error, 2 usage error.  Every command but validate
-and report writes a run.json provenance record (command, seed, config hash)
-into --out.  Skipped segments and segment warnings go to stderr.
+and report writes its files into --out through `_write_outputs`, then a
+run.json provenance record: the command line, the seed, and as `config` every
+parsed option but --out and --seed, with that config's hash.  Skipped segments
+and segment warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -24,17 +26,23 @@ from .stats import stats_files
 from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
 
 
-def _write_run_record(out_dir: Path, argv: list[str], seed: int, config: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config_blob = json.dumps(config, sort_keys=True)
+def _write_outputs(args, argv: list[str], files: dict[str, str]) -> None:
+    """Write each {name: text} under --out, then run.json.  Its config is every
+    parsed option but out, seed (a field of its own) and the handler, so no
+    command can leave one out."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    config = {name: value for name, value in vars(args).items() if name not in ("out", "seed", "func")}
     record = {
         "command": argv,
-        "seed": seed,
+        "seed": args.seed,
         "format_version": FORMAT_VERSION,
         "config": config,
-        "config_hash": hashlib.sha256(config_blob.encode()).hexdigest(),
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
     }
-    (out_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _report(msg: str) -> None:
@@ -59,8 +67,7 @@ def cmd_synth(args, argv) -> int:
     out = Path(args.out)
     write_dataset(dataset, out / "dataset")
     save_config(config, out / "generator_config.txt")
-    _write_run_record(out, argv, args.seed, {"subcommand": "synth", "null": args.null,
-                                             "n_participants": config.n_participants})
+    _write_outputs(args, argv, {})
     print(f"wrote {len(dataset.segments)} segments to {out / 'dataset'}")
     return 0
 
@@ -84,21 +91,14 @@ def cmd_validate(args, argv) -> int:
 
 def cmd_features(args, argv) -> int:
     rows = _feature_rows(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "features.csv").write_text(features_csv(rows, args.seed), encoding="utf-8")
-    _write_run_record(out, argv, args.seed, {"subcommand": "features", "dataset": str(args.dataset)})
-    print(f"wrote {len(rows)} feature rows to {out / 'features.csv'}")
+    _write_outputs(args, argv, {"features.csv": features_csv(rows, args.seed)})
+    print(f"wrote {len(rows)} feature rows to {Path(args.out) / 'features.csv'}")
     return 0
 
 
 def cmd_stats(args, argv) -> int:
     files, retained, excluded = stats_files(_feature_rows(args), args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
-    _write_run_record(out, argv, args.seed, {"subcommand": "stats", "dataset": str(args.dataset)})
+    _write_outputs(args, argv, files)
     print(f"retained: {sorted(retained)}; excluded: {sorted(excluded)}")
     return 0
 
@@ -108,35 +108,20 @@ def cmd_train(args, argv) -> int:
         print("usage: loadsense train takes one --subset (a trained model uses one feature subset)",
               file=sys.stderr)
         return 2
-    rows = _feature_rows(args)
     subset = args.subset[0] if args.subset else "all"
-    ensemble = train(rows, TASKS[args.task], args.scheme, subset, args.seed)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "model.json").write_text(model_to_json(ensemble, seed=args.seed), encoding="utf-8")
-    _write_run_record(out, argv, args.seed, {"subcommand": "train", "task": args.task,
-                                             "scheme": args.scheme})
-    print(f"wrote ensemble model to {out / 'model.json'}")
+    ensemble = train(_feature_rows(args), TASKS[args.task], args.scheme, subset, args.seed)
+    _write_outputs(args, argv, {"model.json": model_to_json(ensemble, seed=args.seed)})
+    print(f"wrote ensemble model to {Path(args.out) / 'model.json'}")
     return 0
 
 
 def cmd_evaluate(args, argv) -> int:
     rows = _feature_rows(args)
-    task = TASKS[args.task]
-    participants = sorted({r.participant for r in rows})
-    plan = make_split_plan(participants, k=5, seed=args.seed)
-    subsets = args.subset if args.subset else None
-    report = run_nested_cv(rows, task, args.scheme, plan, subsets=subsets, threads=args.threads)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=args.seed)
+    report = run_nested_cv(rows, TASKS[args.task], args.scheme, plan, subsets=args.subset, threads=args.threads)
     stem = f"report_{args.task}_{args.scheme}"
-    (out / f"{stem}.csv").write_text(render_report(report, "csv"), encoding="utf-8")
     text = render_report(report, "txt")
-    (out / f"{stem}.txt").write_text(text, encoding="utf-8")
-    _write_run_record(out, argv, args.seed, {"subcommand": "evaluate", "task": args.task,
-                                             "scheme": args.scheme, "threads": args.threads,
-                                             "subsets": list(subsets) if subsets else "all"})
+    _write_outputs(args, argv, {f"{stem}.csv": render_report(report, "csv"), f"{stem}.txt": text})
     print(text, end="")
     return 0
 
@@ -151,52 +136,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loadsense")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, dataset=True, out=True):
-        if dataset:
-            p.add_argument("--dataset", required=True)
-            p.add_argument("--strict", action="store_true", help="exit 1 on a segment that would be skipped")
-        if out:
-            p.add_argument("--out", default="out")
-            p.add_argument("--seed", type=int, default=None)
+    # option groups shared by several commands
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--dataset", required=True)
+    reads.add_argument("--strict", action="store_true", help="exit 1 on a segment that would be skipped")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default="out")
+    writes.add_argument("--seed", type=int, default=None)
+    learns = argparse.ArgumentParser(add_help=False)
+    learns.add_argument("--task", required=True, choices=sorted(TASKS))
+    learns.add_argument("--scheme", choices=["multi", "binary"], default="multi")
+    learns.add_argument("--subset", action="append", choices=sorted(FEATURE_SUBSETS))
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset tree")
-    common(p, dataset=False)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "generate a synthetic dataset tree", writes)
     p.add_argument("--participants", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--null", action="store_true", help="zero all level effects")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("validate", help="count segment and dataset issues")
-    common(p, out=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("features", help="extract the 8-feature table")
-    common(p)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("stats", help="descriptives, correlations, reliability, paired t-tests")
-    common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("train", help="fit and save an ensemble model")
-    common(p)
-    p.add_argument("--task", required=True, choices=sorted(TASKS))
-    p.add_argument("--scheme", choices=["multi", "binary"], default="multi")
-    p.add_argument("--subset", action="append", choices=sorted(FEATURE_SUBSETS))
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="nested cross-validation report")
-    common(p)
-    p.add_argument("--task", required=True, choices=sorted(TASKS))
-    p.add_argument("--scheme", choices=["multi", "binary"], default="multi")
-    p.add_argument("--subset", action="append", choices=sorted(FEATURE_SUBSETS))
+    command("validate", cmd_validate, "count segment and dataset issues", reads)
+    command("features", cmd_features, "extract the 8-feature table", reads, writes)
+    command("stats", cmd_stats, "descriptives, correlations, reliability, paired t-tests", reads, writes)
+    command("train", cmd_train, "fit and save an ensemble model", reads, writes, learns)
+    p = command("evaluate", cmd_evaluate, "nested cross-validation report", reads, writes, learns)
     p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("report", help="print a saved report file")
+    p = command("report", cmd_report, "print a saved report file")
     p.add_argument("report_csv")
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 

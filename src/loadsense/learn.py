@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -135,27 +136,16 @@ def fit_knn(X: np.ndarray, y: Sequence[int], k: int) -> TrainedModel:
 
 
 def _predict_knn(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    train_X = model.params["train_X"]
     train_y = model.params["train_y"]
-    k = model.params["k"]
-    out = np.empty(len(X), dtype=int)
-    d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
-    for i in range(len(X)):
-        order = np.argsort(d2[i], kind="stable")  # distance ties: training index order
-        neighbors = order[:k]
-        labels = train_y[neighbors]
-        counts = np.bincount(labels, minlength=max(model.classes) + 1)
-        best = counts.max()
-        tied = set(np.flatnonzero(counts == best).tolist())
-        if len(tied) == 1:
-            out[i] = next(iter(tied))
-        else:
-            # vote tie: nearest neighbor among the tied classes decides
-            for idx in neighbors:
-                if train_y[idx] in tied:
-                    out[i] = train_y[idx]
-                    break
-    return out
+    d2 = ((X[:, None, :] - model.params["train_X"][None, :, :]) ** 2).sum(axis=2)
+    # distance ties: training index order
+    labels = train_y[np.argsort(d2, axis=1, kind="stable")[:, : model.params["k"]]]
+    counts = _ballots(labels, max(model.classes) + 1).sum(axis=1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    # the nearest neighbour whose class has the most votes; on a vote tie that
+    # is the nearest neighbour among the tied classes
+    nearest = np.argmax(np.take_along_axis(tied, labels, axis=1), axis=1)
+    return labels[np.arange(len(X)), nearest]
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +277,16 @@ def _predict_adaboost(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 # Ensemble
 
 
+def _ballots(preds, n_classes: int) -> np.ndarray:
+    """One-hot votes: ``ballots[..., c]`` is 1 where the prediction is class c."""
+    return (np.asarray(preds)[..., None] == np.arange(n_classes)).astype(int)
+
+
 def plurality_vote(preds: Sequence[np.ndarray], counts: Sequence[int], n_classes: int) -> np.ndarray:
     """Per sample, the class with the most votes when each prediction array
     votes `counts[i]` times.  Votes are integer counts; ties go to the lowest
     class index."""
-    votes = np.zeros((len(preds[0]), n_classes), dtype=int)
-    rows = np.arange(len(preds[0]))
-    for pred, count in zip(preds, counts):
-        if count:
-            votes[rows, pred] += count
-    return np.argmax(votes, axis=1)
+    return np.argmax(np.tensordot(np.asarray(counts), _ballots(preds, n_classes), axes=1), axis=1)
 
 
 def _predict_ensemble(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -385,28 +375,27 @@ def greedy_ensemble(candidates: Sequence[Candidate], y_val: Sequence[int]) -> Tr
     y_val = np.asarray(y_val, dtype=int)
     classes = tuple(sorted({c for cand in candidates for c in cand.model.classes}))
 
-    preds = [cand.val_predictions for cand in candidates]
+    ballots = _ballots([cand.val_predictions for cand in candidates], max(classes) + 1)
     # the best candidate (highest validation accuracy, earliest order on ties)
     # seeds the ensemble, so its accuracy is the floor
     seed_index = min(range(len(candidates)), key=lambda i: (-candidates[i].val_accuracy, candidates[i].order))
     counts = [0] * len(candidates)
     counts[seed_index] = 1
+    votes = ballots[seed_index]
 
-    def vote_accuracy(cnts) -> float:
-        return float(np.mean(plurality_vote(preds, cnts, max(classes) + 1) == y_val))
+    def hits(votes: np.ndarray) -> np.ndarray:
+        """Validation rows a (rows, classes) vote tally gets right under
+        plurality (ties to the lowest class index); one count per tally of a stack."""
+        return (np.argmax(votes, axis=-1) == y_val).sum(axis=-1)
 
-    best_acc = vote_accuracy(counts)
+    best = hits(votes)
     while sum(counts) < ENSEMBLE_MAX_SIZE:
-        best_gain = None
-        for i in range(len(candidates)):
-            counts[i] += 1
-            acc = vote_accuracy(counts)
-            counts[i] -= 1
-            if acc > best_acc and (best_gain is None or acc > best_gain[0]):
-                best_gain = (acc, i)
-        if best_gain is None:
+        # every one-vote addition at once; the earliest best one wins, and only on a strict gain
+        scores = hits(votes + ballots)
+        i = int(np.argmax(scores))
+        if scores[i] <= best:
             break
-        best_acc, i = best_gain
+        best, votes = scores[i], votes + ballots[i]
         counts[i] += 1
 
     members = [(cand.model, mult) for cand, mult in zip(candidates, counts) if mult]
@@ -425,6 +414,14 @@ _PARAM_NAMES = {
     "Ensemble": {"members"},
 }
 _MODEL_FIELDS = {"kind", "classes", "scaler", "params"}
+_SHORT = reprlib.Repr()  # a bad field's value, as its error message shows it
+_SHORT.maxlevel = 3
+
+
+def _is_stump(stump) -> bool:
+    """A stump as JSON holds it: [feature index, threshold, polarity, alpha]."""
+    return (isinstance(stump, list) and len(stump) == 4 and type(stump[0]) is int
+            and all(type(v) in (int, float) for v in stump[1:]))
 
 
 def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
@@ -458,19 +455,48 @@ def model_from_json(text: str) -> TrainedModel:
         if not isinstance(params, dict) or set(params) != _PARAM_NAMES[kind]:
             names = sorted(params) if isinstance(params, dict) else params
             raise ValueError(f"{kind} model: params {names!r}, expected {sorted(_PARAM_NAMES[kind])}")
-        if not isinstance(classes, list) or not all(type(c) is int for c in classes):
-            raise ValueError(f"{kind} model: field 'classes' is {classes!r}, not a list of ints")
+
+        def bad(name: str, value, expected: str) -> ValueError:
+            return ValueError(f"{kind} model: field {name!r} is {_SHORT.repr(value)}, not {expected}")
+
+        def array(name: str, value, kinds: str = "if") -> np.ndarray:
+            """`value` as an array of ints ("i"), or of ints or floats ("if")."""
+            try:
+                if (arr := np.asarray(value)).dtype.kind in kinds:
+                    return arr
+            except ValueError:  # ragged nested lists
+                pass
+            raise bad(name, value, "an array of ints" if kinds == "i" else "a numeric array")
+
+        if not isinstance(classes, list) or not all(type(c) is int and c >= 0 for c in classes):
+            raise bad("classes", classes, "a list of ints >= 0")
+
         if kind == "AdaBoost":
-            params = {"machines": [[tuple(stump) for stump in stumps] for stumps in params["machines"]]}
+            machines = params["machines"]
+            if not isinstance(machines, list) or not all(isinstance(m, list) and all(map(_is_stump, m))
+                                                         for m in machines):
+                raise bad("machines", machines, "a list of lists of [feature, threshold, polarity, alpha]")
+            params = {"machines": [[tuple(stump) for stump in stumps] for stumps in machines]}
         elif kind == "Ensemble":
-            params = {"members": [(decode(member), mult) for member, mult in params["members"]]}
+            members = params["members"]
+            if not isinstance(members, list) or not members or not all(
+                    isinstance(m, list) and len(m) == 2 and type(m[1]) is int and m[1] >= 1 for m in members):
+                raise bad("members", members, "a non-empty list of [model, multiplicity >= 1] pairs")
+            params = {"members": [(decode(member), mult) for member, mult in members]}
         else:  # every LDA and KNN param but KNN's k is an array
-            params = {name: value if name == "k" else np.asarray(value) for name, value in params.items()}
+            params = {name: value if name == "k" else array(name, value, "i" if name == "train_y" else "if")
+                      for name, value in params.items()}
         if kind == "KNN":
             k, n_train = params["k"], len(params["train_X"]) if params["train_X"].ndim else 0
             if type(k) is not int or not 1 <= k <= n_train:
-                raise ValueError(f"KNN model: field 'k' is {k!r}, not an int in [1, {n_train}]")
-        scaler = None if doc["scaler"] is None else Scaler(**{n: np.asarray(v) for n, v in doc["scaler"].items()})
+                raise bad("k", k, f"an int in [1, {n_train}]")
+            if not np.isin(params["train_y"], classes).all():
+                raise bad("train_y", params["train_y"].tolist(), "an array of labels from 'classes'")
+        scaler = doc["scaler"]
+        if scaler is not None:
+            if not isinstance(scaler, dict) or set(scaler) != {"mean", "std"}:
+                raise bad("scaler", scaler, "null or an object of 'mean' and 'std'")
+            scaler = Scaler(**{name: array(f"scaler.{name}", value) for name, value in scaler.items()})
         return TrainedModel(kind=kind, classes=tuple(classes), params=params, scaler=scaler)
 
     return decode(root["model"])

@@ -1,6 +1,7 @@
 """Command-line interface tests: happy paths, exit codes, provenance, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import make_segment
 from loadsense import FORMAT_VERSION, core
-from loadsense.cli import run_cli
+from loadsense.cli import build_parser, run_cli
 from loadsense.core import Dataset, DatasetError, TaskKind, feature_matrix, load_dataset, write_dataset
 from loadsense.evaluate import FEATURE_SUBSETS, _labels, _rows_for_task, featurize_dataset
 from loadsense.learn import fit_scaler, greedy_ensemble, grid_search, model_to_json
@@ -305,6 +306,15 @@ class TestTrainEvaluate:
         expected = _reference_train_json(small_rows, TaskKind.NBACK, "multi", subset, seed=5)
         assert (tmp_path / "model.json").read_text() == expected
 
+    def test_train_subsets_record_different_config_hashes(self, small_dataset_dir, tmp_path):
+        hashes = []
+        for subset in ("heart", "all"):
+            out = tmp_path / subset
+            assert run_cli(["train", "--dataset", str(small_dataset_dir), "--out", str(out),
+                            "--seed", "5", "--task", "nback", "--subset", subset]) == 0
+            hashes.append(json.loads((out / "run.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
     def test_evaluate_writes_reports_exit_0(self, dataset_dir, tmp_path, capsys):
         code = run_cli(
             ["evaluate", "--dataset", str(dataset_dir), "--out", str(tmp_path),
@@ -337,6 +347,35 @@ class TestTrainEvaluate:
         capsys.readouterr()
         assert run_cli(["report", str(out / "report_nback_multi.csv")]) == 0
         assert "33.33" in capsys.readouterr().out
+
+
+# each writing command's options besides --out and --seed, given the dataset directory
+RECORDED_OPTIONS = {
+    "synth": lambda dataset: ["--participants", "2", "--null"],
+    "features": lambda dataset: ["--dataset", dataset],
+    "stats": lambda dataset: ["--dataset", dataset, "--strict"],
+    "train": lambda dataset: ["--dataset", dataset, "--task", "nback", "--scheme", "binary", "--subset", "heart"],
+    "evaluate": lambda dataset: ["--dataset", dataset, "--task", "nback", "--subset", "heart",
+                                 "--subset", "eye_drive", "--threads", "2"],
+}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", sorted(RECORDED_OPTIONS))
+    def test_config_is_the_parsed_options_but_out_and_seed(self, command, small_dataset_dir, tmp_path):
+        argv = [command, "--out", str(tmp_path), "--seed", "5", *RECORDED_OPTIONS[command](str(small_dataset_dir))]
+        assert run_cli(argv) == 0
+        record = json.loads((tmp_path / "run.json").read_text())
+        parsed = vars(build_parser().parse_args(argv))
+        expected = {name: value for name, value in parsed.items() if name not in ("out", "seed", "func")}
+        assert record["config"] == expected
+        # every option given on the command line but --out and --seed is recorded
+        given = {arg[2:] for arg in argv if arg.startswith("--")} - {"out", "seed"}
+        assert given <= set(record["config"])
+        assert record["config"]["subcommand"] == command
+        assert (record["command"], record["seed"], record["format_version"]) == (argv, 5, FORMAT_VERSION)
+        blob = json.dumps(record["config"], sort_keys=True).encode()
+        assert record["config_hash"] == hashlib.sha256(blob).hexdigest()
 
 
 class TestSeedEnvOverride:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from loadsense.learn import (
+    ENSEMBLE_MAX_SIZE,
     Candidate,
     GRIDS,
     MODEL_KINDS,
@@ -149,6 +150,54 @@ class TestKnn:
             fit_knn(X, y, k=0)
         with pytest.raises(ValueError):
             fit_knn(X, y, k=7)
+
+
+def _reference_predict_knn(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """The per-row vote loop `_predict_knn` ran before its one array pass: the oracle."""
+    train_X = model.params["train_X"]
+    train_y = model.params["train_y"]
+    k = model.params["k"]
+    out = np.empty(len(X), dtype=int)
+    d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
+    for i in range(len(X)):
+        order = np.argsort(d2[i], kind="stable")  # distance ties: training index order
+        neighbors = order[:k]
+        labels = train_y[neighbors]
+        counts = np.bincount(labels, minlength=max(model.classes) + 1)
+        best = counts.max()
+        tied = set(np.flatnonzero(counts == best).tolist())
+        if len(tied) == 1:
+            out[i] = next(iter(tied))
+        else:
+            # vote tie: nearest neighbor among the tied classes decides
+            for idx in neighbors:
+                if train_y[idx] in tied:
+                    out[i] = train_y[idx]
+                    break
+    return out
+
+
+class TestKnnPredictOracle:
+    def test_matches_the_row_loop_on_tie_heavy_data(self):
+        """Integer points on a 3-value grid, so distance ties and vote ties are common."""
+        rng = np.random.default_rng(19)
+        n_vote_ties = 0
+        for _ in range(1000):
+            n, p = int(rng.integers(1, 16)), int(rng.integers(1, 3))
+            classes = rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
+            X = rng.integers(0, 3, size=(n, p)).astype(float)
+            y = rng.choice(classes, size=n)
+            k = int(rng.integers(1, n + 1))
+            Xt = rng.integers(0, 3, size=(int(rng.integers(0, 10)), p)).astype(float)
+            model = fit_knn(X, y, k=k)
+            expected = _reference_predict_knn(model, Xt)
+            got = model.predict(Xt)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+            for x in Xt:
+                counts = np.bincount(y[np.argsort(((X - x) ** 2).sum(axis=1), kind="stable")[:k]])
+                n_vote_ties += int((counts == counts.max()).sum() > 1)
+        assert n_vote_ties > 400  # the comparison covers many vote ties
 
 
 class TestAdaBoost:
@@ -494,6 +543,59 @@ class TestGreedyEnsemble:
             greedy_ensemble([], [0])
 
 
+def _reference_ensemble_counts(candidates, y_val) -> list[int]:
+    """Each candidate's votes in `greedy_ensemble`'s selection, by the loop over
+    one-vote additions (scored by float accuracy) that it ran before the array
+    pass: the oracle."""
+    y_val = np.asarray(y_val, dtype=int)
+    classes = tuple(sorted({c for cand in candidates for c in cand.model.classes}))
+    preds = [cand.val_predictions for cand in candidates]
+    seed_index = min(range(len(candidates)), key=lambda i: (-candidates[i].val_accuracy, candidates[i].order))
+    counts = [0] * len(candidates)
+    counts[seed_index] = 1
+
+    def vote_accuracy(cnts) -> float:
+        return float(np.mean(_reference_vote(preds, cnts, classes) == y_val))
+
+    best_acc = vote_accuracy(counts)
+    while sum(counts) < ENSEMBLE_MAX_SIZE:
+        best_gain = None
+        for i in range(len(candidates)):
+            counts[i] += 1
+            acc = vote_accuracy(counts)
+            counts[i] -= 1
+            if acc > best_acc and (best_gain is None or acc > best_gain[0]):
+                best_gain = (acc, i)
+        if best_gain is None:
+            break
+        best_acc, i = best_gain
+        counts[i] += 1
+    return counts
+
+
+class TestGreedyEnsembleOracle:
+    def test_matches_the_addition_loop_on_tie_heavy_ballots(self):
+        """Two or three classes and up to 24 candidates, each right on about
+        half of up to 60 validation rows, so accuracy ties between additions
+        and vote ties within a row are common."""
+        rng = np.random.default_rng(29)
+        sizes = []
+        for _ in range(600):
+            n_val, n_cands = int(rng.integers(2, 61)), int(rng.integers(1, 25))
+            labels = rng.choice(5, size=int(rng.integers(2, 4)), replace=False)
+            X_val = np.arange(n_val, dtype=float)[:, None]
+            y_val = rng.choice(labels, size=n_val)
+            preds = [np.where(rng.random(n_val) < 0.5, y_val, rng.choice(labels, size=n_val)) for _ in range(n_cands)]
+            candidates = [fixed_candidate(pred, X_val, order=int(order), y_val=y_val)
+                          for pred, order in zip(preds, rng.permutation(n_cands))]
+            ensemble = greedy_ensemble(candidates, y_val)
+            votes = {id(model): mult for model, mult in ensemble.params["members"]}
+            counts = [votes.get(id(cand.model), 0) for cand in candidates]
+            assert counts == _reference_ensemble_counts(candidates, y_val)
+            sizes.append(sum(counts))
+        assert sum(size > 2 for size in sizes) > 100  # many runs accept several additions
+
+
 def _reference_vote(preds, counts, classes):
     """The float vote loop that `_predict_ensemble` and `greedy_ensemble` each
     carried before `plurality_vote`: the oracle for the shared vote."""
@@ -665,6 +767,37 @@ class TestSerialization:
             text = json.dumps(root)
         with pytest.raises(ValueError, match=message):
             model_from_json(text)
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("KNN", lambda doc: doc.update(scaler=[1, 2]), r"^KNN model: field 'scaler' is \[1, 2\], not null or an"),
+        ("KNN", lambda doc: doc["scaler"].pop("std"), r"^KNN model: field 'scaler' is \{'mean': \[.*\]\}, not null"),
+        ("KNN", lambda doc: doc["scaler"].update(mean="x"), r"^KNN model: field 'scaler.mean' is 'x', not a numeric"),
+        ("KNN", lambda doc: doc["params"]["train_y"].__setitem__(0, 0.5),
+         r"^KNN model: field 'train_y' is \[0.5, .*\], not an array of ints"),
+        ("KNN", lambda doc: doc.update(classes=[0, 1]), r"^KNN model: field 'train_y' is .*, not an array of labels"),
+        ("KNN", lambda doc: doc.update(classes=[0, 1, -2]), r"^KNN model: field 'classes' is \[0, 1, -2\], not a list"),
+        ("Ensemble", lambda doc: doc["params"].update(members=[1]), r"^Ensemble model: field 'members' is \[1\],"),
+        ("Ensemble", lambda doc: doc["params"].update(members=[]), r"^Ensemble model: field 'members' is \[\], not a"),
+        ("Ensemble", lambda doc: doc["params"]["members"][0].__setitem__(1, "x"),
+         r"^Ensemble model: field 'members' is \[\[\{.*\}, 'x'\]\], not a non-empty list of \[model, multiplicity"),
+        ("Ensemble", lambda doc: doc["params"]["members"][0].__setitem__(1, 0), r"^Ensemble model: field 'members'"),
+        ("Ensemble", lambda doc: doc["params"]["members"][0].__setitem__(1, True), r"^Ensemble model: field 'members'"),
+        ("Ensemble", lambda doc: doc["params"]["members"][0][0].update(kind="SVM"), r"unknown model kind 'SVM'"),
+        ("AdaBoost", lambda doc: doc["params"].update(machines=3), r"^AdaBoost model: field 'machines' is 3, not a"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"][0][0].pop(), r"^AdaBoost model: field 'machines'"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"][0][0].__setitem__(0, 1.0), r"^AdaBoost model: field"),
+        ("LDA", lambda doc: doc["params"].update(means="x"), r"^LDA model: field 'means' is 'x', not a numeric array"),
+        ("LDA", lambda doc: doc["params"]["means"][0].pop(), r"^LDA model: field 'means' is .*, not a numeric array"),
+    ], ids=["scaler_array", "scaler_no_std", "scaler_mean_string", "train_y_float", "train_y_not_in_classes",
+            "class_negative", "members_int", "members_empty", "multiplicity_string", "multiplicity_zero",
+            "multiplicity_bool", "member_kind", "machines_int", "stump_short", "stump_float_feature",
+            "means_string", "means_ragged"])
+    def test_malformed_params_are_a_value_error_naming_the_kind_and_field(self, kind, edit, message):
+        """`edit` changes the document of a fitted `kind` model in place."""
+        root = json.loads(model_to_json(_ensemble() if kind == "Ensemble" else _scaled_model(kind)))
+        edit(root["model"])
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps(root))
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ValueError, match="format version"):
