@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import DEFAULT_SEED, FORMAT_VERSION
 from .core import TASKS, DatasetError, FeatureRow, features_csv, iter_segments, validate_dataset, write_dataset
-from .evaluate import FEATURE_SUBSETS, featurize_segments, make_split_plan, render_report, run_nested_cv, train
+from .evaluate import (FEATURE_SUBSETS, SCHEMES, featurize_segments, make_split_plan, render_report, run_nested_cv,
+                       train)
 from .learn import model_to_json
 from .stats import stats_files
 from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     writes.add_argument("--seed", type=int, default=None)
     learns = argparse.ArgumentParser(add_help=False)
     learns.add_argument("--task", required=True, choices=sorted(TASKS))
-    learns.add_argument("--scheme", choices=["multi", "binary"], default="multi")
+    learns.add_argument("--scheme", choices=SCHEMES, default="multi")
     learns.add_argument("--subset", action="append", choices=sorted(FEATURE_SUBSETS))
 
     def command(name, func, summary, *parents):

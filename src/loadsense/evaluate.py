@@ -18,8 +18,7 @@ from .cardiac import compute_cardiac_features
 from .core import (Dataset, DatasetError, FeatureRow, FeatureVector, LoadLevel, SessionSegment, TaskKind,
                    feature_matrix, provenance_header)
 from .driving import compute_drive_avg_dev
-from .learn import MODEL_KINDS, Candidate, Scaler, TrainedModel, accuracy
-from .learn import fit_scaler, grid_search, greedy_ensemble
+from .learn import MODEL_KINDS, TrainedModel, accuracy, fit_scaler, grid_search, greedy_ensemble
 from .pupil import compute_lhipa
 
 HEART_FEATURES = ("hr_mean", "hr_min", "hr_max", "hr_std", "hrv_rmssd")
@@ -42,7 +41,7 @@ SUBSET_TITLES = {
     "heart": "Heart alone",
 }
 
-REPORT_ROWS = ("LDA", "KNN", "AdaBoost", "Ensemble")
+REPORT_ROWS = (*MODEL_KINDS, "Ensemble")
 
 SCHEMES = ("multi", "binary")
 
@@ -137,17 +136,20 @@ def _rows_of(rows: Sequence[FeatureRow], participants: Sequence[str]) -> list[Fe
 
 
 def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureRow],
-                   subset: tuple[str, ...]) -> tuple[Scaler, list[Candidate], TrainedModel]:
+                   subset: tuple[str, ...]) -> dict[str, TrainedModel]:
     """Fit the scaler on the training rows, grid-search every model kind and
-    select the greedy ensemble on the validation rows.  Returns (scaler,
-    candidates, ensemble); the candidates and the ensemble take scaled input."""
+    select the greedy ensemble on the validation rows.  Returns the
+    REPORT_ROWS models by name, the best of each kind and then the ensemble,
+    each with the scaler attached: they take unscaled input."""
     X_train = feature_matrix(train_rows, subset)
     scaler = fit_scaler(X_train)
-    X_train = scaler.transform(X_train)
     X_val = scaler.transform(feature_matrix(val_rows, subset))
     y_val = _labels(val_rows)
-    candidates = grid_search(X_train, _labels(train_rows), X_val, y_val)
-    return scaler, candidates, greedy_ensemble(candidates, y_val)
+    candidates = grid_search(scaler.transform(X_train), _labels(train_rows), X_val, y_val)
+    # candidates rank best first
+    models = {kind: next(c.model for c in candidates if c.kind == kind) for kind in MODEL_KINDS}
+    models["Ensemble"] = greedy_ensemble(candidates, y_val)
+    return {name: replace(model, scaler=scaler) for name, model in models.items()}
 
 
 def _evaluate_fold(rows, fold, subsets):
@@ -160,27 +162,23 @@ def _evaluate_fold(rows, fold, subsets):
     y_test = _labels(test_rows)
     for subset_name in subsets:
         subset = FEATURE_SUBSETS[subset_name]
-        scaler, candidates, ensemble = select_and_fit(train_rows, val_rows, subset)
-        X_test = scaler.transform(feature_matrix(test_rows, subset))
-        for kind in MODEL_KINDS:
-            best = next(c for c in candidates if c.kind == kind)
-            result[(kind, subset_name)] = accuracy(best.model, X_test, y_test)
-        result[("Ensemble", subset_name)] = accuracy(ensemble, X_test, y_test)
+        X_test = feature_matrix(test_rows, subset)
+        for name, model in select_and_fit(train_rows, val_rows, subset).items():
+            result[(name, subset_name)] = accuracy(model, X_test, y_test)
     return result
 
 
 def train(rows: Sequence[FeatureRow], task: TaskKind, scheme: str, subset: str, seed: int) -> TrainedModel:
-    """The final model: the selection of one `run_nested_cv` fold, with no
-    test participants and a seeded one-third validation hold-out, returned as
-    the ensemble with its scaler attached (it takes unscaled input)."""
+    """The final model: the ensemble of one `run_nested_cv` fold's selection,
+    with no test participants and a seeded one-third validation hold-out (it
+    takes unscaled input)."""
     task_rows = _rows_for_task(rows, task, scheme)
     shuffled = _shuffled([r.participant for r in task_rows], seed)
     if len(shuffled) < 3:
         raise DatasetError("need at least 3 participants to train")
     fold = _fold(shuffled, ())
     train_rows, val_rows = _rows_of(task_rows, fold.train), _rows_of(task_rows, fold.validation)
-    scaler, _, ensemble = select_and_fit(train_rows, val_rows, FEATURE_SUBSETS[subset])
-    return replace(ensemble, scaler=scaler)
+    return select_and_fit(train_rows, val_rows, FEATURE_SUBSETS[subset])["Ensemble"]
 
 
 def run_nested_cv(

@@ -9,6 +9,7 @@ model kind then grid order for equal validation scores).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import reprlib
 from dataclasses import dataclass, field
@@ -318,12 +319,6 @@ class Candidate:
     order: int  # position in (kind, grid) enumeration; tie-break key
 
 
-_FITTERS = {
-    "LDA": lambda X, y, cfg: fit_lda(X, y, **cfg),
-    "KNN": lambda X, y, cfg: fit_knn(X, y, **cfg),
-}
-
-
 def grid_search(
     X_train: np.ndarray,
     y_train: Sequence[int],
@@ -338,26 +333,24 @@ def grid_search(
     if len(np.asarray(X_val)) == 0:
         raise ValueError("grid_search: empty validation set")
     y_val = np.asarray(y_val, dtype=int)
+    # one boosting run at the largest size; smaller sizes are exact per-class prefixes
+    boosted = functools.cache(
+        lambda: fit_adaboost(X_train, y_train, max(cfg["n_stumps"] for cfg in GRIDS["AdaBoost"])))
+    fits = {
+        "LDA": lambda cfg: fit_lda(X_train, y_train, **cfg),
+        "KNN": lambda cfg: fit_knn(X_train, y_train, **cfg),
+        "AdaBoost": lambda cfg: dataclasses.replace(boosted(), params={
+            "machines": [stumps[: cfg["n_stumps"]] for stumps in boosted().params["machines"]]}),
+    }
     candidates = []
-    order = 0
-    for kind in MODEL_KINDS:
-        if kind == "AdaBoost":
-            # one boosting run at the largest size; smaller sizes are exact per-class prefixes
-            boosted = fit_adaboost(X_train, y_train, max(cfg["n_stumps"] for cfg in GRIDS[kind]))
-        for cfg in GRIDS[kind]:
-            # a KNN k above the training set size cannot run: skipped, but it keeps its order number
-            if not (kind == "KNN" and cfg["k"] > len(X_train)):
-                if kind == "AdaBoost":
-                    machines = [stumps[: cfg["n_stumps"]] for stumps in boosted.params["machines"]]
-                    model = dataclasses.replace(boosted, params={"machines": machines})
-                else:
-                    model = _FITTERS[kind](X_train, y_train, cfg)
-                pred = model.predict(X_val)
-                candidates.append(
-                    Candidate(kind=kind, config=cfg, model=model, val_predictions=pred,
-                              val_accuracy=float(np.mean(pred == y_val)), order=order)
-                )
-            order += 1
+    for order, (kind, cfg) in enumerate((kind, cfg) for kind in MODEL_KINDS for cfg in GRIDS[kind]):
+        # a KNN k above the training set size cannot run: skipped, but it keeps its order number
+        if kind == "KNN" and cfg["k"] > len(X_train):
+            continue
+        model = fits[kind](cfg)
+        pred = model.predict(X_val)
+        candidates.append(Candidate(kind=kind, config=cfg, model=model, val_predictions=pred,
+                                    val_accuracy=float(np.mean(pred == y_val)), order=order))
     candidates.sort(key=lambda c: (-c.val_accuracy, c.order))
     return candidates
 
@@ -445,7 +438,8 @@ def model_from_json(text: str) -> TrainedModel:
     if root.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError("unsupported model format version")
 
-    def decode(doc) -> TrainedModel:
+    def decode(doc, p: int | None = None) -> TrainedModel:
+        """`p` is the feature count of the model's input where an enclosing model's scaler fixes it."""
         kind = doc.get("kind") if isinstance(doc, dict) else None
         if not isinstance(kind, str) or kind not in _PARAM_NAMES:
             raise ValueError(f"field 'kind': unknown model kind {kind!r}")
@@ -471,32 +465,52 @@ def model_from_json(text: str) -> TrainedModel:
         if not isinstance(classes, list) or not all(type(c) is int and c >= 0 for c in classes):
             raise bad("classes", classes, "a list of ints >= 0")
 
-        if kind == "AdaBoost":
-            machines = params["machines"]
-            if not isinstance(machines, list) or not all(isinstance(m, list) and all(map(_is_stump, m))
-                                                         for m in machines):
-                raise bad("machines", machines, "a list of lists of [feature, threshold, polarity, alpha]")
-            params = {"machines": [[tuple(stump) for stump in stumps] for stumps in machines]}
-        elif kind == "Ensemble":
-            members = params["members"]
-            if not isinstance(members, list) or not members or not all(
-                    isinstance(m, list) and len(m) == 2 and type(m[1]) is int and m[1] >= 1 for m in members):
-                raise bad("members", members, "a non-empty list of [model, multiplicity >= 1] pairs")
-            params = {"members": [(decode(member), mult) for member, mult in members]}
-        else:  # every LDA and KNN param but KNN's k is an array
+        def shaped(name: str, arr: np.ndarray, shape: tuple) -> None:
+            if arr.shape != shape:
+                raise ValueError(f"{kind} model: field {name!r} has shape {arr.shape}, not {shape}")
+
+        if kind in ("LDA", "KNN"):  # every param but KNN's k is an array
             params = {name: value if name == "k" else array(name, value, "i" if name == "train_y" else "if")
                       for name, value in params.items()}
-        if kind == "KNN":
-            k, n_train = params["k"], len(params["train_X"]) if params["train_X"].ndim else 0
-            if type(k) is not int or not 1 <= k <= n_train:
-                raise bad("k", k, f"an int in [1, {n_train}]")
-            if not np.isin(params["train_y"], classes).all():
-                raise bad("train_y", params["train_y"].tolist(), "an array of labels from 'classes'")
+            features = params["cov_inv" if kind == "LDA" else "train_X"]
+            p = features.shape[-1] if p is None and features.ndim else p
         scaler = doc["scaler"]
         if scaler is not None:
             if not isinstance(scaler, dict) or set(scaler) != {"mean", "std"}:
                 raise bad("scaler", scaler, "null or an object of 'mean' and 'std'")
             scaler = Scaler(**{name: array(f"scaler.{name}", value) for name, value in scaler.items()})
+            p = scaler.mean.size if p is None else p
+            shaped("scaler.mean", scaler.mean, (p,))
+            shaped("scaler.std", scaler.std, (p,))
+
+        if kind == "LDA":
+            shaped("means", params["means"], (len(classes), p))
+            shaped("cov_inv", params["cov_inv"], (p, p))
+            shaped("log_priors", params["log_priors"], (len(classes),))
+        elif kind == "KNN":
+            k, n_train = params["k"], len(params["train_X"]) if params["train_X"].ndim else 0
+            shaped("train_X", params["train_X"], (n_train, p))
+            shaped("train_y", params["train_y"], (n_train,))
+            if type(k) is not int or not 1 <= k <= n_train:
+                raise bad("k", k, f"an int in [1, {n_train}]")
+            if not np.isin(params["train_y"], classes).all():
+                raise bad("train_y", params["train_y"].tolist(), "an array of labels from 'classes'")
+        elif kind == "AdaBoost":
+            machines = params["machines"]
+            if not isinstance(machines, list) or not all(isinstance(m, list) and all(map(_is_stump, m))
+                                                         for m in machines):
+                raise bad("machines", machines, "a list of lists of [feature, threshold, polarity, alpha]")
+            if len(machines) != len(classes):
+                raise bad("machines", machines, f"one list of stumps per class ({len(classes)})")
+            if p is not None and not all(0 <= stump[0] < p for stumps in machines for stump in stumps):
+                raise bad("machines", machines, f"stumps on feature indices in [0, {p})")
+            params = {"machines": [[tuple(stump) for stump in stumps] for stumps in machines]}
+        else:
+            members = params["members"]
+            if not isinstance(members, list) or not members or not all(
+                    isinstance(m, list) and len(m) == 2 and type(m[1]) is int and m[1] >= 1 for m in members):
+                raise bad("members", members, "a non-empty list of [model, multiplicity >= 1] pairs")
+            params = {"members": [(decode(member, p), mult) for member, mult in members]}
         return TrainedModel(kind=kind, classes=tuple(classes), params=params, scaler=scaler)
 
     return decode(root["model"])

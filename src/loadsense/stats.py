@@ -50,25 +50,17 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even, then the odd term of the fraction
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     return h
@@ -179,18 +171,10 @@ def reliability_screen(
     Returns (alphas, retained, excluded).  Excluded dimensions are skipped
     by downstream hypothesis tests; classification still uses all features.
     """
-    alphas: dict[str, float] = {}
-    retained: set[str] = set()
-    excluded: set[str] = set()
-    for name, matrix in matrices.items():
-        result = cronbach_alpha(matrix)
-        alpha = result.statistic
-        alphas[name] = alpha
-        if not result.degenerate and alpha >= RELIABILITY_THRESHOLD:
-            retained.add(name)
-        else:
-            excluded.add(name)
-    return alphas, retained, excluded
+    results = {name: cronbach_alpha(matrix) for name, matrix in matrices.items()}
+    retained = {name for name, result in results.items()
+                if not result.degenerate and result.statistic >= RELIABILITY_THRESHOLD}
+    return {name: result.statistic for name, result in results.items()}, retained, set(results) - retained
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +233,16 @@ def correlation_matrices(columns: Mapping[str, Sequence[float]]) -> CorrelationM
     labels = tuple(columns.keys())
     data = [np.asarray(columns[label], dtype=float) for label in labels]
     k = len(labels)
-    r = np.eye(k)
-    p = np.zeros((k, k))
+    diagonal = np.eye(k, dtype=bool)
+    r = np.where(diagonal, 1.0, np.nan)
+    p = np.where(diagonal, 0.0, np.nan)
     n = np.zeros((k, k), dtype=int)
     for i in range(k):
         n[i, i] = int(np.sum(~np.isnan(data[i])))
         for j in range(i + 1, k):
             mask = ~np.isnan(data[i]) & ~np.isnan(data[j])
             n[i, j] = n[j, i] = int(mask.sum())
-            if mask.sum() < 3:
-                r[i, j] = r[j, i] = np.nan
-                p[i, j] = p[j, i] = np.nan
-                continue
-            result = pearson(data[i][mask], data[j][mask])
-            if result.degenerate:
-                r[i, j] = r[j, i] = np.nan
-                p[i, j] = p[j, i] = np.nan
-            else:
+            if n[i, j] >= 3 and not (result := pearson(data[i][mask], data[j][mask])).degenerate:
                 r[i, j] = r[j, i] = result.statistic
                 p[i, j] = p[j, i] = result.p_value
     return CorrelationMatrix(labels=labels, r=r, p=p, n=n)

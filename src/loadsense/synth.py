@@ -9,9 +9,9 @@ so the decomposition is explicit.
 
 generator_config.txt records every GeneratorConfig field, so that file and
 the seed reproduce a tree.  The protocol and sensors are fixed constants:
-FIRST_ONSET_S, N_STIMULI, STIMULUS_INTERVAL_S, NBACK_TARGET_FRACTION,
-VISUAL_SEARCH_TARGET_FRACTION, PUPIL_RATE_HZ, PUPIL_BASE_MM, LHIPA_REFERENCE,
-DRIVING_RATE_HZ, RT_SD_S and driving.DEFAULT_SPEED_MPS.
+FIRST_ONSET_S, N_STIMULI, NBACK_TARGET_FRACTION, VISUAL_SEARCH_TARGET_FRACTION,
+PUPIL_RATE_HZ, PUPIL_BASE_MM, LHIPA_REFERENCE, DRIVING_RATE_HZ, RT_SD_S,
+driving.DEFAULT_SPEED_MPS and driving.STIMULUS_WINDOW_S.
 
 Every sampled channel is rounded here to the resolution a real sensor
 records, so the in-memory dataset equals the tree `write_dataset` writes:
@@ -50,7 +50,7 @@ from .core import (
     TaskEvent,
     TaskKind,
 )
-from .driving import DEFAULT_SPEED_MPS, build_ideal_path
+from .driving import DEFAULT_SPEED_MPS, STIMULUS_WINDOW_S, build_ideal_path
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,8 @@ DEFAULT_TARGETS: dict[tuple[TaskKind, LoadLevel], LevelTargets] = {
 # Fixed session protocol and sensor constants.
 FIRST_ONSET_S = 1.0
 N_STIMULI = 40
-STIMULUS_INTERVAL_S = 3.0  # 2000 ms presentation + 1000 ms pause
 # the last stimulus window ends here, after every response (<= 2.9 s after onset)
-PROTOCOL_SPAN_S = FIRST_ONSET_S + N_STIMULI * STIMULUS_INTERVAL_S
+PROTOCOL_SPAN_S = FIRST_ONSET_S + N_STIMULI * STIMULUS_WINDOW_S
 NBACK_TARGET_FRACTION = 0.25
 VISUAL_SEARCH_TARGET_FRACTION = 0.5
 PUPIL_RATE_HZ = 120.0
@@ -208,7 +207,7 @@ def _synth_events(rng, task: TaskKind, targets: LevelTargets):
     is_target[rng.permutation(N_STIMULI)[:n_targets]] = True
     events: list[TaskEvent] = []
     for i in range(N_STIMULI):
-        onset = FIRST_ONSET_S + i * STIMULUS_INTERVAL_S
+        onset = FIRST_ONSET_S + i * STIMULUS_WINDOW_S
         kind = EventKind.TARGET_PRESENT if is_target[i] else EventKind.TARGET_ABSENT
         events.append(TaskEvent(onset, kind, payload=f"s{i}"))
         respond = rng.random() < (targets.hit_prob if is_target[i] else targets.false_positive_prob)

@@ -381,9 +381,21 @@ def _reference_evaluate_fold(rows, fold, subsets):
     return result
 
 
+def _reference_select_and_fit(train_rows, val_rows, subset):
+    """`select_and_fit` before its models carried the scaler: (scaler,
+    candidates, ensemble), the candidates and the ensemble taking scaled input."""
+    X_train = feature_matrix(train_rows, subset)
+    scaler = fit_scaler(X_train)
+    X_train = scaler.transform(X_train)
+    X_val = scaler.transform(feature_matrix(val_rows, subset))
+    y_val = _labels(val_rows)
+    candidates = grid_search(X_train, _labels(train_rows), X_val, y_val)
+    return scaler, candidates, greedy_ensemble(candidates, y_val)
+
+
 @functools.lru_cache(maxsize=None)
-def ten_participant_rows():
-    return tuple(small_feature_rows(seed=7, n_participants=10))
+def ten_participant_rows(seed=7):
+    return tuple(small_feature_rows(seed=seed, n_participants=10))
 
 
 class TestSelectAndFitOracle:
@@ -397,6 +409,32 @@ class TestSelectAndFitOracle:
         old = run_nested_cv(rows, task, scheme, plan)
         for fmt in ("csv", "txt"):
             assert render_report(new, fmt) == render_report(old, fmt)
+
+
+class TestScalerCarryingModels:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_predictions_on_raw_features_match_the_old_scaled_path(self, seed):
+        """Every fold and subset of the three reports: each model `select_and_fit`
+        returns predicts on the raw test matrix what the old path's best
+        candidate of its kind, or its ensemble, predicts on the scaled one."""
+        rows = ten_participant_rows(seed)
+        plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=seed)
+        for task, scheme in ((TaskKind.NBACK, "multi"), (TaskKind.NBACK, "binary"), (TaskKind.VISUAL_SEARCH, "multi")):
+            task_rows = evaluate._rows_for_task(rows, task, scheme)
+            for fold in plan.folds:
+                train_rows, val_rows, test_rows = ([r for r in task_rows if r.participant in part]
+                                                   for part in (fold.train, fold.validation, fold.test))
+                for subset in FEATURE_SUBSETS.values():
+                    X_test = feature_matrix(test_rows, subset)
+                    models = evaluate.select_and_fit(train_rows, val_rows, subset)
+                    scaler, candidates, ensemble = _reference_select_and_fit(train_rows, val_rows, subset)
+                    old = {kind: next(c.model for c in candidates if c.kind == kind) for kind in MODEL_KINDS}
+                    old["Ensemble"] = ensemble
+                    assert list(models) == list(REPORT_ROWS)
+                    for name, model in models.items():
+                        assert np.array_equal(model.scaler.mean, scaler.mean)
+                        assert np.array_equal(model.scaler.std, scaler.std)
+                        assert np.array_equal(model.predict(X_test), old[name].predict(scaler.transform(X_test)))
 
 
 def dummy_report(scheme="multi"):

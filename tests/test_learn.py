@@ -677,6 +677,11 @@ def _scaled_model(kind: str, rng=None) -> TrainedModel:
     return dataclasses.replace(fitters[kind](), scaler=scaler)
 
 
+def _unscaled_document(kind: str) -> dict:
+    """The `model` object of a `_scaled_model` document with its scaler left out."""
+    return json.loads(model_to_json(dataclasses.replace(_scaled_model(kind), scaler=None)))["model"]
+
+
 def _ensemble(rng=None) -> TrainedModel:
     rng = rng or np.random.default_rng(15)
     X, y = blobs(rng, [(-2.0,), (2.0,)], 20)
@@ -788,10 +793,39 @@ class TestSerialization:
         ("AdaBoost", lambda doc: doc["params"]["machines"][0][0].__setitem__(0, 1.0), r"^AdaBoost model: field"),
         ("LDA", lambda doc: doc["params"].update(means="x"), r"^LDA model: field 'means' is 'x', not a numeric array"),
         ("LDA", lambda doc: doc["params"]["means"][0].pop(), r"^LDA model: field 'means' is .*, not a numeric array"),
+        ("LDA", lambda doc: [row.append(0.0) for row in doc["params"]["means"]],
+         r"^LDA model: field 'means' has shape \(3, 3\), not \(3, 2\)"),
+        ("LDA", lambda doc: doc.update(classes=[0, 1]), r"^LDA model: field 'means' has shape \(3, 2\), not \(2, 2\)"),
+        ("LDA", lambda doc: doc["params"]["cov_inv"].append([0.0, 0.0]),
+         r"^LDA model: field 'cov_inv' has shape \(3, 2\), not \(2, 2\)"),
+        ("LDA", lambda doc: doc["params"]["log_priors"].pop(),
+         r"^LDA model: field 'log_priors' has shape \(2,\), not \(3,\)"),
+        ("KNN", lambda doc: doc["params"]["train_y"].pop(), r"^KNN model: field 'train_y' has shape \(44,\), not \(45,\)"),
+        ("KNN", lambda doc: doc["params"].update(train_X=doc["params"]["train_X"][0]),
+         r"^KNN model: field 'train_X' has shape \(2,\), not \(2, 2\)"),
+        ("KNN", lambda doc: doc["scaler"]["mean"].append(0.0),
+         r"^KNN model: field 'scaler.mean' has shape \(3,\), not \(2,\)"),
+        ("KNN", lambda doc: doc["scaler"]["std"].pop(), r"^KNN model: field 'scaler.std' has shape \(1,\), not \(2,\)"),
+        ("AdaBoost", lambda doc: doc["scaler"]["std"].pop(),
+         r"^AdaBoost model: field 'scaler.std' has shape \(1,\), not \(2,\)"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"].pop(),
+         r"^AdaBoost model: field 'machines' is .*, not one list of stumps per class \(3\)"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"][0][0].__setitem__(0, 99),
+         r"^AdaBoost model: field 'machines' is .*, not stumps on feature indices in \[0, 2\)"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"][0][0].__setitem__(0, -1),
+         r"^AdaBoost model: field 'machines' is .*, not stumps on feature indices in \[0, 2\)"),
+        ("Ensemble", lambda doc: doc.update(scaler={"mean": [0.0, 0.0], "std": [1.0, 1.0]}),
+         r"^KNN model: field 'train_X' has shape \(40, 1\), not \(40, 2\)"),
+        ("Ensemble", lambda doc: doc.update(scaler={"mean": [0.0], "std": [1.0]},
+                                            params={"members": [[_unscaled_document("AdaBoost"), 1]]}),
+         r"^AdaBoost model: field 'machines' is .*, not stumps on feature indices in \[0, 1\)"),
     ], ids=["scaler_array", "scaler_no_std", "scaler_mean_string", "train_y_float", "train_y_not_in_classes",
             "class_negative", "members_int", "members_empty", "multiplicity_string", "multiplicity_zero",
             "multiplicity_bool", "member_kind", "machines_int", "stump_short", "stump_float_feature",
-            "means_string", "means_ragged"])
+            "means_string", "means_ragged", "means_three_columns", "means_fewer_classes", "cov_inv_not_square",
+            "log_priors_short", "train_y_short", "train_X_one_row", "scaler_mean_long", "scaler_std_short",
+            "adaboost_scaler_std_short", "machines_one_short", "stump_feature_99", "stump_feature_negative",
+            "ensemble_scaler_wider_than_member", "ensemble_scaler_narrower_than_stump"])
     def test_malformed_params_are_a_value_error_naming_the_kind_and_field(self, kind, edit, message):
         """`edit` changes the document of a fitted `kind` model in place."""
         root = json.loads(model_to_json(_ensemble() if kind == "Ensemble" else _scaled_model(kind)))
