@@ -13,7 +13,10 @@ featurize_dataset, all in memory) it writes:
   paired_tests.csv;
 - tree_sha256.txt: one `sha256sum` line per file of the tree that
   write_dataset writes for the cohort, sorted by relative path, so
-  `sha256sum -c tree_sha256.txt` run inside a written tree checks its bytes.
+  `sha256sum -c tree_sha256.txt` run inside a written tree checks its bytes;
+- generator_config.txt: the cohort's config as save_config writes it (and
+  `loadsense synth` next to its tree), so adding or removing a generator
+  setting shows up as a fixture diff.
 
 tests/test_golden.py recomputes the same outputs through `golden_outputs`
 and compares them byte for byte, so a change that moves any fitted model
@@ -40,7 +43,7 @@ from loadsense.core import Dataset, TaskKind, features_csv, write_dataset
 from loadsense.evaluate import featurize_dataset, make_split_plan, render_report, run_nested_cv, train
 from loadsense.learn import model_to_json
 from loadsense.stats import stats_files
-from loadsense.synth import GeneratorConfig, generate_dataset
+from loadsense.synth import GeneratorConfig, generate_dataset, save_config
 
 SEED = 7
 PARTICIPANTS = 10
@@ -56,9 +59,17 @@ def tree_digests(dataset: Dataset) -> str:
         return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {name}\n" for name, p in files)
 
 
+def config_file(config: GeneratorConfig) -> bytes:
+    """The generator_config.txt that save_config writes for `config`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_config(config, Path(tmp) / "generator_config.txt")
+        return (Path(tmp) / "generator_config.txt").read_bytes()
+
+
 def golden_outputs() -> dict[str, bytes]:
     """File name -> bytes of every golden output."""
-    dataset = generate_dataset(GeneratorConfig(n_participants=PARTICIPANTS, seed=SEED))
+    config = GeneratorConfig(n_participants=PARTICIPANTS, seed=SEED)
+    dataset = generate_dataset(config)
     rows = featurize_dataset(dataset)
     plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=SEED)
     outputs = {"features.csv": features_csv(rows, SEED).encode()}
@@ -73,6 +84,7 @@ def golden_outputs() -> dict[str, bytes]:
         digests.append(f"{task.value} {scheme} {digest}\n")
     outputs["model_sha256.txt"] = "".join(digests).encode()
     outputs["tree_sha256.txt"] = tree_digests(dataset).encode()
+    outputs["generator_config.txt"] = config_file(config)
     return outputs
 
 

@@ -3,4 +3,4 @@
 __version__ = "0.1.0"
 
 DEFAULT_SEED = 7
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3

@@ -44,6 +44,7 @@ SUBSET_TITLES = {
 REPORT_ROWS = (*MODEL_KINDS, "Ensemble")
 
 SCHEMES = ("multi", "binary")
+BINARY_LEVELS = (LoadLevel.EASY, LoadLevel.MEDIUM)  # the two classes of the binary scheme
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def _rows_for_task(rows: Sequence[FeatureRow], task: TaskKind, scheme: str) -> l
         raise ValueError(f"unknown scheme {scheme!r}")
     selected = [r for r in rows if r.task is task]
     if scheme == "binary":
-        selected = [r for r in selected if r.level in (LoadLevel.EASY, LoadLevel.MEDIUM)]
+        selected = [r for r in selected if r.level in BINARY_LEVELS]
     return selected
 
 
@@ -236,8 +237,11 @@ def render_report(report: EvaluationReport, fmt: str = "txt") -> str:
     """Tables in the 4-model x 5-subset layout with the chance-level caption."""
     subsets = _report_subsets(report)
     chance = "33.33" if report.scheme == "multi" else "50"
+    classes = f"{report.scheme}-class"
+    if report.scheme == "binary":
+        classes += f" ({' vs '.join(level.name.lower() for level in BINARY_LEVELS)})"
     caption = (
-        f"{report.task.value} {report.scheme}-class mean%+-std% test accuracy over "
+        f"{report.task.value} {classes} mean%+-std% test accuracy over "
         f"{report.n_folds} folds. The random chance level is {chance}%."
     )
     if fmt == "csv":

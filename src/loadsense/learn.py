@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -62,6 +63,13 @@ class TrainedModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        # the feature count, where the scaler or the params fix it; AdaBoost checks its stumps
+        width = None if self.scaler is None else self.scaler.mean.size
+        if width is None and self.kind in _WIDTH_PARAMS:
+            width = self.params[_WIDTH_PARAMS[self.kind]].shape[-1]
+        if X.ndim != 2 or width is not None and X.shape[1] != width:
+            raise ValueError(f"{self.kind} model: input has shape {X.shape}, "
+                             f"not (rows, {'columns' if width is None else width})")
         if self.scaler is not None:
             X = self.scaler.transform(X)
         return _PREDICTORS[self.kind](self, X)
@@ -263,6 +271,9 @@ def _adaboost_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     for ci, stumps in enumerate(model.params["machines"]):
         if stumps:
             j, thr, polarity, alpha = (np.asarray(v) for v in zip(*stumps))
+            outside = j[(j < 0) | (j >= X.shape[1])]
+            if outside.size:
+                raise ValueError(f"AdaBoost model: input has {X.shape[1]} columns, a stump reads column {outside[0]}")
             terms = alpha * polarity * np.where(X[:, j] > thr, 1.0, -1.0)
             # cumsum adds the stumps one after another, in fit order; sum() would pair them up
             scores[:, ci] = np.cumsum(terms, axis=1)[:, -1]
@@ -296,6 +307,7 @@ def _predict_ensemble(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return plurality_vote([m.predict(X) for m, _ in members], [mult for _, mult in members], n_classes)
 
 
+_WIDTH_PARAMS = {"LDA": "cov_inv", "KNN": "train_X"}  # a param whose last axis is the feature count
 _PREDICTORS = {
     "LDA": _predict_lda,
     "KNN": _predict_knn,
@@ -414,7 +426,7 @@ _SHORT.maxlevel = 3
 def _is_stump(stump) -> bool:
     """A stump as JSON holds it: [feature index, threshold, polarity, alpha]."""
     return (isinstance(stump, list) and len(stump) == 4 and type(stump[0]) is int
-            and all(type(v) in (int, float) for v in stump[1:]))
+            and all(type(v) in (int, float) and math.isfinite(v) for v in stump[1:]))
 
 
 def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
@@ -454,13 +466,16 @@ def model_from_json(text: str) -> TrainedModel:
             return ValueError(f"{kind} model: field {name!r} is {_SHORT.repr(value)}, not {expected}")
 
         def array(name: str, value, kinds: str = "if") -> np.ndarray:
-            """`value` as an array of ints ("i"), or of ints or floats ("if")."""
+            """`value` as a finite array of ints ("i"), or of ints or floats ("if")."""
             try:
-                if (arr := np.asarray(value)).dtype.kind in kinds:
-                    return arr
+                arr = np.asarray(value)
             except ValueError:  # ragged nested lists
-                pass
-            raise bad(name, value, "an array of ints" if kinds == "i" else "a numeric array")
+                arr = np.asarray(None)
+            if arr.dtype.kind not in kinds:
+                raise bad(name, value, "an array of ints" if kinds == "i" else "a numeric array")
+            if not np.isfinite(arr).all():
+                raise bad(name, value, "an array of finite numbers")
+            return arr
 
         if not isinstance(classes, list) or not all(type(c) is int and c >= 0 for c in classes):
             raise bad("classes", classes, "a list of ints >= 0")
@@ -482,6 +497,8 @@ def model_from_json(text: str) -> TrainedModel:
             p = scaler.mean.size if p is None else p
             shaped("scaler.mean", scaler.mean, (p,))
             shaped("scaler.std", scaler.std, (p,))
+            if not (scaler.std > 0).all():
+                raise bad("scaler.std", scaler.std.tolist(), "an array of numbers > 0")
 
         if kind == "LDA":
             shaped("means", params["means"], (len(classes), p))

@@ -10,8 +10,11 @@ so the decomposition is explicit.
 generator_config.txt records every GeneratorConfig field, so that file and
 the seed reproduce a tree.  The protocol and sensors are fixed constants:
 FIRST_ONSET_S, N_STIMULI, NBACK_TARGET_FRACTION, VISUAL_SEARCH_TARGET_FRACTION,
-PUPIL_RATE_HZ, PUPIL_BASE_MM, LHIPA_REFERENCE, DRIVING_RATE_HZ, RT_SD_S,
+PUPIL_RATE_HZ, PUPIL_BASE_MM, PUPIL_NOISE_MM, DRIVING_RATE_HZ, RT_SD_S,
 driving.DEFAULT_SPEED_MPS and driving.STIMULUS_WINDOW_S.
+
+There are no pupil targets: LHIPA, a ratio of two wavelet detail bands of
+one signal, does not move with the noise scale, so PUPIL_NOISE_MM is fixed.
 
 Every sampled channel is rounded here to the resolution a real sensor
 records, so the in-memory dataset equals the tree `write_dataset` writes:
@@ -59,8 +62,6 @@ class LevelTargets:
 
     hr_mean_bpm: float
     rmssd_ms: float
-    lhipa_left: float
-    lhipa_right: float
     drive_dev_m: float
     # secondary-task behavior
     hit_prob: float
@@ -72,12 +73,12 @@ class LevelTargets:
 # probabilities are set so n-back performance rates land near 0.96/0.85/0.36
 # and visual-search accuracy near 0.99/0.99/0.95.
 DEFAULT_TARGETS: dict[tuple[TaskKind, LoadLevel], LevelTargets] = {
-    (TaskKind.NBACK, LoadLevel.EASY): LevelTargets(77.49, 37.79, 2.37, 2.38, 0.15, 0.97, 0.003, 0.9),
-    (TaskKind.NBACK, LoadLevel.MEDIUM): LevelTargets(82.54, 31.86, 2.34, 2.28, 0.21, 0.88, 0.010, 1.1),
-    (TaskKind.NBACK, LoadLevel.HARD): LevelTargets(82.97, 30.34, 2.29, 2.29, 0.23, 0.48, 0.040, 1.3),
-    (TaskKind.VISUAL_SEARCH, LoadLevel.EASY): LevelTargets(77.29, 38.37, 2.30, 2.46, 0.24, 0.99, 0.010, 1.29),
-    (TaskKind.VISUAL_SEARCH, LoadLevel.MEDIUM): LevelTargets(78.58, 36.52, 2.30, 2.39, 0.24, 0.99, 0.010, 1.44),
-    (TaskKind.VISUAL_SEARCH, LoadLevel.HARD): LevelTargets(78.63, 37.70, 2.30, 2.44, 0.27, 0.95, 0.010, 1.75),
+    (TaskKind.NBACK, LoadLevel.EASY): LevelTargets(77.49, 37.79, 0.15, 0.97, 0.003, 0.9),
+    (TaskKind.NBACK, LoadLevel.MEDIUM): LevelTargets(82.54, 31.86, 0.21, 0.88, 0.010, 1.1),
+    (TaskKind.NBACK, LoadLevel.HARD): LevelTargets(82.97, 30.34, 0.23, 0.48, 0.040, 1.3),
+    (TaskKind.VISUAL_SEARCH, LoadLevel.EASY): LevelTargets(77.29, 38.37, 0.24, 0.99, 0.010, 1.29),
+    (TaskKind.VISUAL_SEARCH, LoadLevel.MEDIUM): LevelTargets(78.58, 36.52, 0.24, 0.99, 0.010, 1.44),
+    (TaskKind.VISUAL_SEARCH, LoadLevel.HARD): LevelTargets(78.63, 37.70, 0.27, 0.95, 0.010, 1.75),
 }
 
 
@@ -90,7 +91,7 @@ NBACK_TARGET_FRACTION = 0.25
 VISUAL_SEARCH_TARGET_FRACTION = 0.5
 PUPIL_RATE_HZ = 120.0
 PUPIL_BASE_MM = 4.0
-LHIPA_REFERENCE = 2.38  # index produced by the default pupil_noise_mm
+PUPIL_NOISE_MM = 0.02  # white-noise sd of every pupil sample
 DRIVING_RATE_HZ = 33.0
 RT_SD_S = 0.18
 # decimals each sampled channel is rounded to (see the module docstring)
@@ -119,7 +120,6 @@ class GeneratorConfig:
     # segment timing
     duration_min_s: float = 125.0
     duration_max_s: float = 160.0
-    pupil_noise_mm: float = 0.02  # white-noise amplitude at LHIPA_REFERENCE
 
 
 def null_config(config: GeneratorConfig) -> GeneratorConfig:
@@ -155,7 +155,7 @@ def _synth_rr(rng, duration_s: float, hr_bpm: float, rmssd_ms: float):
     return np.column_stack((onsets[keep], rr[keep]))
 
 
-def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float, lhipa_target: float):
+def _synth_pupil(rng, duration_s: float, base_mm: float):
     n = int(duration_s * PUPIL_RATE_HZ)
     t = np.round(np.arange(n) / PUPIL_RATE_HZ, TIME_DECIMALS)
     signal = np.full(n, base_mm)
@@ -164,8 +164,7 @@ def _synth_pupil(rng, config: GeneratorConfig, duration_s: float, base_mm: float
         amp = rng.uniform(0.05, 0.15)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         signal += amp * np.sin(2.0 * math.pi * freq * t + phase)
-    noise_sd = config.pupil_noise_mm * lhipa_target / LHIPA_REFERENCE
-    signal += rng.normal(0.0, noise_sd, size=n)
+    signal += rng.normal(0.0, PUPIL_NOISE_MM, size=n)
     signal = np.round(np.maximum(signal, 0.5), DIAMETER_DECIMALS)
     confidence = np.ones(n)
     # a few sub-500 ms tracking dropouts
@@ -247,8 +246,8 @@ def _generate_participant(config: GeneratorConfig, index: int) -> list[SessionSe
                     task=task,
                     level=level,
                     rr_intervals=_synth_rr(rng, duration, hr, rmssd_t),
-                    pupil_left=_synth_pupil(rng, config, duration, pupil_base, targets.lhipa_left),
-                    pupil_right=_synth_pupil(rng, config, duration, pupil_base, targets.lhipa_right),
+                    pupil_left=_synth_pupil(rng, duration, pupil_base),
+                    pupil_right=_synth_pupil(rng, duration, pupil_base),
                     driving=_synth_driving(rng, duration, dev_t),
                     events=_synth_events(rng, task, targets),
                     duration_s=duration,
@@ -282,7 +281,6 @@ _RANGES = {
     "hr_rmssd_baseline_corr": (-1.0, 1.0),
     "duration_min_s": (PROTOCOL_SPAN_S, math.inf),
     "duration_max_s": (-math.inf, SEGMENT_MAX_DURATION_S),
-    "pupil_noise_mm": (0.0, math.inf),
 }
 
 

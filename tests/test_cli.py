@@ -84,9 +84,20 @@ class TestSynth:
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
         assert not (tmp_path / "out").exists()
 
+    def test_deleted_pupil_settings_are_unknown_keys(self, tmp_path, capsys):
+        """The 12 per-condition LHIPA targets and pupil_noise_mm moved no feature and are gone."""
+        cfg = tmp_path / "cfg.txt"
+        keys = ["pupil_noise_mm"] + [f"{task}.{level}.lhipa_{eye}" for task in ("nback", "visual_search")
+                                     for level in ("easy", "medium", "hard") for eye in ("left", "right")]
+        for key in keys:
+            cfg.write_text(f"seed=3\n{key}=2.38\n")
+            assert run_cli(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}:2: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [
-        "pupil_noise_mm=inf", "nback.easy.lhipa_left=nan", "hr_baseline_sd=nan", "duration_max_s=-5",
-        "hr_rmssd_baseline_corr=2", "pupil_noise_mm=-1", "hr_baseline_sd=-1", "duration_min_s=-5",
+        "drive_session_sd=inf", "nback.easy.drive_dev_m=nan", "hr_baseline_sd=nan", "duration_max_s=-5",
+        "hr_rmssd_baseline_corr=2", "drive_session_sd=-1", "hr_baseline_sd=-1", "duration_min_s=-5",
     ])
     def test_non_finite_or_inverted_config_value_is_data_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -819,13 +820,30 @@ class TestSerialization:
         ("Ensemble", lambda doc: doc.update(scaler={"mean": [0.0], "std": [1.0]},
                                             params={"members": [[_unscaled_document("AdaBoost"), 1]]}),
          r"^AdaBoost model: field 'machines' is .*, not stumps on feature indices in \[0, 1\)"),
+        ("LDA", lambda doc: doc["scaler"].update(std=[0.0, -1.0]),
+         r"^LDA model: field 'scaler.std' is \[0.0, -1.0\], not an array of numbers > 0"),
+        ("KNN", lambda doc: doc["scaler"]["std"].__setitem__(1, 0.0),
+         r"^KNN model: field 'scaler.std' is .*, not an array of numbers > 0"),
+        ("LDA", lambda doc: doc["params"]["means"][0].__setitem__(0, math.nan),
+         r"^LDA model: field 'means' is \[\[nan, .*\]\], not an array of finite numbers"),
+        ("LDA", lambda doc: doc["params"]["log_priors"].__setitem__(2, -math.inf),
+         r"^LDA model: field 'log_priors' is .*, not an array of finite numbers"),
+        ("KNN", lambda doc: doc["params"]["train_X"][3].__setitem__(1, math.inf),
+         r"^KNN model: field 'train_X' is .*, not an array of finite numbers"),
+        ("KNN", lambda doc: doc["scaler"]["mean"].__setitem__(0, math.nan),
+         r"^KNN model: field 'scaler.mean' is \[nan, .*\], not an array of finite numbers"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"][1][0].__setitem__(1, math.nan),
+         r"^AdaBoost model: field 'machines' is .*, not a list of lists of \[feature, threshold, polarity, alpha\]"),
+        ("AdaBoost", lambda doc: doc["params"]["machines"][0][0].__setitem__(3, math.inf), r"^AdaBoost model: field"),
     ], ids=["scaler_array", "scaler_no_std", "scaler_mean_string", "train_y_float", "train_y_not_in_classes",
             "class_negative", "members_int", "members_empty", "multiplicity_string", "multiplicity_zero",
             "multiplicity_bool", "member_kind", "machines_int", "stump_short", "stump_float_feature",
             "means_string", "means_ragged", "means_three_columns", "means_fewer_classes", "cov_inv_not_square",
             "log_priors_short", "train_y_short", "train_X_one_row", "scaler_mean_long", "scaler_std_short",
             "adaboost_scaler_std_short", "machines_one_short", "stump_feature_99", "stump_feature_negative",
-            "ensemble_scaler_wider_than_member", "ensemble_scaler_narrower_than_stump"])
+            "ensemble_scaler_wider_than_member", "ensemble_scaler_narrower_than_stump", "scaler_std_not_positive",
+            "scaler_std_zero", "means_nan", "log_priors_minus_inf", "train_X_inf", "scaler_mean_nan",
+            "stump_threshold_nan", "stump_alpha_inf"])
     def test_malformed_params_are_a_value_error_naming_the_kind_and_field(self, kind, edit, message):
         """`edit` changes the document of a fitted `kind` model in place."""
         root = json.loads(model_to_json(_ensemble() if kind == "Ensemble" else _scaled_model(kind)))
@@ -842,3 +860,42 @@ class TestSerialization:
         X, y = blobs(rng, [(-1.0,), (1.0,)], 10)
         model = fit_lda(X, y, shrinkage=0.1)
         assert model_to_json(model, seed=1) == model_to_json(model, seed=1)
+
+
+class TestPredictInputWidth:
+    """`predict` takes a 2-D matrix of the model's feature count: a wrong
+    width is a ValueError naming the kind, never a broadcast or an IndexError."""
+
+    @pytest.mark.parametrize("kind, scaled", [("LDA", True), ("LDA", False), ("KNN", True), ("KNN", False),
+                                              ("AdaBoost", True)])
+    @pytest.mark.parametrize("shape", [(6, 1), (6, 3), (6,), (1, 6, 2)])
+    def test_input_not_of_the_feature_count_is_rejected(self, kind, scaled, shape):
+        """The count is the scaler's, else LDA `cov_inv`'s or KNN `train_X`'s."""
+        model = _scaled_model(kind)
+        model = model if scaled else dataclasses.replace(model, scaler=None)
+        message = rf"^{kind} model: input has shape {re.escape(str(shape))}, not \(rows, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            model.predict(np.zeros(shape))
+        assert model.predict(np.zeros((6, 2))).shape == (6,)
+
+    @pytest.mark.parametrize("index", [99, 2, -1])
+    def test_unscaled_adaboost_rejects_a_stump_outside_the_input(self, index):
+        document = _unscaled_document("AdaBoost")
+        document["params"]["machines"][0][0][0] = index
+        model = model_from_json(json.dumps({"format_version": 1, "seed": None, "model": document}))
+        with pytest.raises(ValueError, match=rf"^AdaBoost model: input has 2 columns, a stump reads column {index}$"):
+            model.predict(np.zeros((6, 2)))
+
+    def test_unscaled_adaboost_rejects_a_vector(self):
+        model = dataclasses.replace(_scaled_model("AdaBoost"), scaler=None)
+        with pytest.raises(ValueError, match=r"^AdaBoost model: input has shape \(6,\), not \(rows, columns\)$"):
+            model.predict(np.zeros(6))
+
+    def test_ensemble_checks_its_scaler_then_its_members(self):
+        ensemble = _ensemble()  # one feature, members unscaled; the first member to predict raises
+        first = ensemble.params["members"][0][0].kind
+        with pytest.raises(ValueError, match=rf"^{first} model: input has shape \(4, 2\), not \(rows, 1\)$"):
+            ensemble.predict(np.zeros((4, 2)))
+        scaled = dataclasses.replace(ensemble, scaler=fit_scaler(np.arange(8.0).reshape(4, 2)))
+        with pytest.raises(ValueError, match=r"^Ensemble model: input has shape \(4, 1\), not \(rows, 2\)$"):
+            scaled.predict(np.zeros((4, 1)))

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loadsense.core import LoadLevel, TaskKind, load_dataset, validate_dataset, validate_segment, write_dataset
-from loadsense.driving import nback_rate, visual_search_perf
+from loadsense.cardiac import compute_cardiac_features
+from loadsense.driving import compute_drive_avg_dev, nback_rate, visual_search_perf
 from loadsense.evaluate import featurize_dataset
 from loadsense.synth import (
     DEFAULT_TARGETS,
@@ -33,7 +34,7 @@ from loadsense.synth import (
 
 PROTOCOL_CONSTANTS = [
     "first_onset_s", "n_stimuli", "stimulus_interval_s", "nback_target_fraction", "visual_search_target_fraction",
-    "pupil_rate_hz", "pupil_base_mm", "lhipa_reference", "driving_rate_hz", "rt_sd_s",
+    "pupil_rate_hz", "pupil_base_mm", "lhipa_reference", "driving_rate_hz", "rt_sd_s", "pupil_noise_mm",
 ]
 # [low, high] of every bounded scalar setting (None: unbounded); a segment holds
 # the 121-s protocol and stays within validate_segment's 300 s, and
@@ -47,7 +48,6 @@ ACCEPTED_RANGES = {
     "hr_rmssd_baseline_corr": (-1.0, 1.0),
     "duration_min_s": (121.0, 300.0),
     "duration_max_s": (121.0, 300.0),
-    "pupil_noise_mm": (0.0, None),
 }
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 LEVEL_TARGETS = st.builds(LevelTargets, *[FLOATS] * len(dataclasses.fields(LevelTargets)))
@@ -233,6 +233,38 @@ class TestBehavior:
         assert rts[LoadLevel.HARD] == pytest.approx(1.75, abs=0.08)
 
 
+# target field -> (its measure on one segment, the task whose segments carry
+# it (None: every task), the shift applied to the field in every condition, and
+# the change of the measure's cohort mean that shift should bring)
+TARGET_MEASURES = {
+    "hr_mean_bpm": (lambda seg: compute_cardiac_features(seg.rr_intervals)["hr_mean"], None, 5.0, 5.0),
+    "rmssd_ms": (lambda seg: compute_cardiac_features(seg.rr_intervals)["hrv_rmssd"], None, 5.0, 5.0),
+    "drive_dev_m": (lambda seg: compute_drive_avg_dev(seg.driving), None, 0.1, 0.1),
+    # (hits - false positives) / 10 targets, with 30 non-targets per segment
+    "hit_prob": (lambda seg: nback_rate(seg.events), TaskKind.NBACK, -0.3, -0.3),
+    "false_positive_prob": (lambda seg: nback_rate(seg.events), TaskKind.NBACK, 0.1, -0.3),
+    "rt_mean_s": (lambda seg: visual_search_perf(seg.events)[0], TaskKind.VISUAL_SEARCH, 0.3, 0.3),
+}
+
+
+class TestTargetEffects:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LevelTargets)])
+    def test_every_target_field_moves_what_it_targets(self, name):
+        """Shifting a target moves its measure by at least half the expected
+        change, in its direction: a target that moves nothing is no setting."""
+        assert name in TARGET_MEASURES, f"target field {name!r} has no measure it moves"
+        measure, task, shift, expected = TARGET_MEASURES[name]
+        base = GeneratorConfig(n_participants=4, seed=3)
+        shifted = dataclasses.replace(base, targets={
+            cond: dataclasses.replace(t, **{name: getattr(t, name) + shift}) for cond, t in base.targets.items()})
+
+        def cohort_mean(config):
+            return float(np.mean([measure(s) for s in generate_dataset(config).segments if task in (None, s.task)]))
+
+        change = cohort_mean(shifted) - cohort_mean(base)
+        assert change / expected >= 0.5, f"{name} {shift:+} moved its measure by {change:.4f}, expected {expected}"
+
+
 class TestNullMode:
     def test_null_config_equalizes_levels(self):
         cfg = null_config(GeneratorConfig())
@@ -302,7 +334,7 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="expected key=value"):
             load_config(tmp_path / "cfg.txt")
 
-    # the last nine are fixed protocol constants, not settings
+    # the rest are fixed protocol and sensor constants (or were), not settings
     @pytest.mark.parametrize("key", ["speed_mps", "targets", "n_participant", *PROTOCOL_CONSTANTS])
     def test_unknown_scalar_key_names_file_line_and_key(self, tmp_path, key):
         (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}=25.0\n")
@@ -314,7 +346,9 @@ class TestConfigFiles:
                 "nback.extreme.hr_mean_bpm", "bogus.easy.hr_mean_bpm", "nback.easy.hr_mean_bpm.x",
                 # the pooled per-condition sds were never read, and are no longer keys
                 "nback.easy.hr_sd", "nback.medium.rmssd_sd", "visual_search.hard.lhipa_left_sd",
-                "visual_search.easy.lhipa_right_sd", "nback.hard.drive_sd"]
+                "visual_search.easy.lhipa_right_sd", "nback.hard.drive_sd",
+                # the LHIPA targets moved no feature, and are no longer keys
+                "nback.easy.lhipa_left", "visual_search.hard.lhipa_right"]
     )
     def test_unknown_target_key_names_file_line_and_key(self, tmp_path, key):
         (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}=1\n")
@@ -331,7 +365,7 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match=rf"cfg.txt:2: key '{key}': not (int|float): "):
             load_config(tmp_path / "cfg.txt")
 
-    @pytest.mark.parametrize("key", ["pupil_noise_mm", "duration_min_s", "nback.hard.rt_mean_s"])
+    @pytest.mark.parametrize("key", ["drive_session_sd", "duration_min_s", "nback.hard.rt_mean_s"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_value_names_file_line_and_key(self, tmp_path, key, value):
         (tmp_path / "cfg.txt").write_text(f"seed=3\n{key}={value}\n")
@@ -355,7 +389,6 @@ class TestConfigFiles:
         ("rmssd_baseline_sd=-0.5", "-0.5 is below 0.0"),
         ("drive_baseline_sd=-1e-9", "-1e-09 is below 0.0"),
         ("drive_session_sd=-1", "-1.0 is below 0.0"),
-        ("pupil_noise_mm=-1", "-1.0 is below 0.0"),
         ("hr_rmssd_baseline_corr=2", "2.0 is above 1.0"),
         ("hr_rmssd_baseline_corr=-1.5", "-1.5 is below -1.0"),
         ("duration_min_s=-5", "-5.0 is below 121.0"),
@@ -371,7 +404,7 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("line", [
         "n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
-        "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=-1", "hr_rmssd_baseline_corr=1",
+        "drive_session_sd=0", "hr_rmssd_baseline_corr=-1", "hr_rmssd_baseline_corr=1",
         "duration_min_s=121", "duration_max_s=300",
     ])
     def test_value_on_its_bound_is_accepted(self, tmp_path, line):
@@ -382,7 +415,7 @@ class TestConfigFiles:
     def test_config_on_its_bounds_generates_valid_segments(self, tmp_path):
         for duration in ("121", "300"):
             lines = ["n_participants=1", "hr_baseline_sd=0", "rmssd_baseline_sd=0", "drive_baseline_sd=0",
-                     "drive_session_sd=0", "pupil_noise_mm=0", "hr_rmssd_baseline_corr=1",
+                     "drive_session_sd=0", "hr_rmssd_baseline_corr=1",
                      f"duration_min_s={duration}", f"duration_max_s={duration}"]
             (tmp_path / "cfg.txt").write_text("\n".join(lines) + "\n")
             dataset = generate_dataset(load_config(tmp_path / "cfg.txt"))
@@ -399,8 +432,8 @@ class TestConfigFiles:
         keys = [line.split("=")[0] for line in (tmp_path / "cfg.txt").read_text().splitlines()]
         scalars = [f.name for f in dataclasses.fields(GeneratorConfig) if f.name != "targets"]
         assert keys[: len(scalars)] == scalars
-        assert len(scalars) == 10
-        assert len(keys) == 10 + 6 * 8
+        assert len(scalars) == 9
+        assert len(keys) == 9 + 6 * 6
         assert len(keys) == len(scalars) + len(DEFAULT_TARGETS) * len(dataclasses.fields(LevelTargets))
 
     @settings(max_examples=100, deadline=None)
