@@ -14,7 +14,7 @@ featurize_dataset, all in memory) it writes:
 - tree_sha256.txt: one `sha256sum` line per file of the tree that
   write_dataset writes for the cohort, sorted by relative path, so
   `sha256sum -c tree_sha256.txt` run inside a written tree checks its bytes;
-- generator_config.txt: the cohort's config as save_config writes it (and
+- generator_config.txt: the cohort's config as config_text writes it (and
   `loadsense synth` next to its tree), so adding or removing a generator
   setting shows up as a fixture diff.
 
@@ -43,7 +43,7 @@ from loadsense.core import Dataset, TaskKind, features_csv, write_dataset
 from loadsense.evaluate import featurize_dataset, make_split_plan, render_report, run_nested_cv, train
 from loadsense.learn import model_to_json
 from loadsense.stats import stats_files
-from loadsense.synth import GeneratorConfig, generate_dataset, save_config
+from loadsense.synth import GeneratorConfig, config_text, generate_dataset
 
 SEED = 7
 PARTICIPANTS = 10
@@ -57,13 +57,6 @@ def tree_digests(dataset: Dataset) -> str:
         write_dataset(dataset, tmp)
         files = sorted((p.relative_to(tmp).as_posix(), p) for p in Path(tmp).rglob("*") if p.is_file())
         return "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {name}\n" for name, p in files)
-
-
-def config_file(config: GeneratorConfig) -> bytes:
-    """The generator_config.txt that save_config writes for `config`."""
-    with tempfile.TemporaryDirectory() as tmp:
-        save_config(config, Path(tmp) / "generator_config.txt")
-        return (Path(tmp) / "generator_config.txt").read_bytes()
 
 
 def golden_outputs() -> dict[str, bytes]:
@@ -84,7 +77,7 @@ def golden_outputs() -> dict[str, bytes]:
         digests.append(f"{task.value} {scheme} {digest}\n")
     outputs["model_sha256.txt"] = "".join(digests).encode()
     outputs["tree_sha256.txt"] = tree_digests(dataset).encode()
-    outputs["generator_config.txt"] = config_file(config)
+    outputs["generator_config.txt"] = config_text(config).encode()
     return outputs
 
 

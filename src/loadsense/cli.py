@@ -24,7 +24,7 @@ from .evaluate import (FEATURE_SUBSETS, SCHEMES, featurize_segments, make_split_
                        train)
 from .learn import model_to_json
 from .stats import stats_files
-from .synth import GeneratorConfig, generate_dataset, load_config, null_config, save_config
+from .synth import GeneratorConfig, config_text, generate_dataset, load_config, null_config
 
 
 def _write_outputs(args, argv: list[str], files: dict[str, str]) -> None:
@@ -67,8 +67,7 @@ def cmd_synth(args, argv) -> int:
     dataset = generate_dataset(config)
     out = Path(args.out)
     write_dataset(dataset, out / "dataset")
-    save_config(config, out / "generator_config.txt")
-    _write_outputs(args, argv, {})
+    _write_outputs(args, argv, {"generator_config.txt": config_text(config)})
     print(f"wrote {len(dataset.segments)} segments to {out / 'dataset'}")
     return 0
 

@@ -419,6 +419,12 @@ def _read_csv(path: Path, header: list[str]) -> np.ndarray:
     return samples
 
 
+# A participant id or event payload holding a delimiter, a quote or a line
+# break splits or merges a CSV reader's cells, and a lone surrogate has no
+# UTF-8 encoding; an empty payload reads back as None.
+_PAYLOAD_BREAKERS = re.compile('[,"\r\n\ud800-\udfff]')
+
+
 def _load_segment_dir(seg_dir: Path) -> SessionSegment:
     manifest_path = seg_dir / "manifest.json"
     if not manifest_path.exists():
@@ -435,6 +441,8 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
         duration_s = float(manifest["duration_s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{manifest_path}: bad manifest field: {exc}") from None
+    if not participant or _PAYLOAD_BREAKERS.search(participant):
+        raise DatasetError(f"{manifest_path}: field 'participant' {participant!r} is empty or not one CSV cell")
 
     for field, value, names in (("task", task_name, TASKS), ("level", level_name, LEVELS)):
         if not isinstance(value, str) or value not in names:
@@ -481,8 +489,6 @@ def iter_segments(root_path: str | Path, strict: bool = False, report=None) -> I
     report = report or (lambda msg: None)
 
     seg_dirs = sorted(p for p in root.glob("*/*") if p.is_dir() and (p / "manifest.json").exists())
-    if not seg_dirs:
-        raise DatasetError(f"{root}: no segments found")
 
     seen: set[tuple[str, TaskKind, LoadLevel]] = set()
     for seg_dir in seg_dirs:
@@ -609,25 +615,22 @@ def _write_columns(path: Path, header: list[str], columns: Sequence[Sequence[str
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-# An event payload holding a delimiter, a quote or a line break splits or
-# merges the csv reader's cells, and a lone surrogate has no UTF-8 encoding;
-# an empty payload reads back as None.
-_PAYLOAD_BREAKERS = re.compile('[,"\r\n\ud800-\udfff]')
-
-
 def write_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset as the directory tree described in the module docstring.
 
     Before anything is written, each of these is an error: a participant id
     that is not one directory name under the root (empty, '.', '..', or
-    holding '/' or NUL), a segment under the root that the dataset would not
-    overwrite, and an event payload that would not read back as itself
-    (empty, or holding ',', '"', CR, LF or a lone surrogate)."""
+    holding '/' or NUL), a participant id or event payload that would not
+    read back as itself (empty, or holding ',', '"', CR, LF or a lone
+    surrogate), and a segment under the root that the dataset would not
+    overwrite."""
     root = Path(root_path)
     for seg in dataset.segments:
         pid = seg.participant_id
         if pid in ("", ".", "..") or "/" in pid or "\0" in pid:
             raise DatasetError(f"{root}: participant id {pid!r} is not one directory name under the root")
+        if _PAYLOAD_BREAKERS.search(pid):
+            raise DatasetError(f"{root}: participant id {pid!r} would not read back as written")
     seg_dirs = {root / seg.participant_id / f"{seg.task.value}_{seg.level.name.lower()}": seg
                 for seg in dataset.segments}
     stale = sorted(m.parent for m in root.glob("*/*/manifest.json") if m.parent not in seg_dirs)

@@ -1,4 +1,4 @@
-"""Ideal-path construction, lateral-deviation metrics, and secondary-task scores."""
+"""Ideal-path construction, mean lateral deviation, and secondary-task scores."""
 
 from __future__ import annotations
 
@@ -85,12 +85,11 @@ def deviation_series(trace: np.ndarray, path: IdealPath) -> np.ndarray:
     return np.abs(lat_u - path.offset(s))
 
 
-def deviation_stats(v: np.ndarray) -> tuple[float, float, float, float, float]:
-    """(mean, median, min, max, sample std) of the deviation values."""
+def deviation_stats(v: np.ndarray) -> float:
+    """The mean of the deviation values."""
     if len(v) == 0:
         raise ValueError("deviation_stats: empty series")
-    std = float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
-    return float(np.mean(v)), float(np.median(v)), float(np.min(v)), float(np.max(v)), std
+    return float(np.mean(v))
 
 
 def compute_drive_avg_dev(driving: np.ndarray) -> float | None:
@@ -100,7 +99,7 @@ def compute_drive_avg_dev(driving: np.ndarray) -> float | None:
     changes = np.flatnonzero(np.diff(lane)) + 1
     change_points = [(DEFAULT_SPEED_MPS * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
     try:
-        return deviation_stats(deviation_series(driving, build_ideal_path(change_points)))[0]
+        return deviation_stats(deviation_series(driving, build_ideal_path(change_points)))
     except ValueError:
         return None
 

@@ -244,21 +244,16 @@ def render_report(report: EvaluationReport, fmt: str = "txt") -> str:
         f"{report.task.value} {classes} mean%+-std% test accuracy over "
         f"{report.n_folds} folds. The random chance level is {chance}%."
     )
+    rows = {kind: [f"{mean:.1f}+-{std:.1f}" for mean, std in (report.cells[(kind, s)] for s in subsets)]
+            for kind in REPORT_ROWS}
     if fmt == "csv":
         lines = [f"# caption={caption}", "model," + ",".join(subsets)]
-        for kind in REPORT_ROWS:
-            cells = [f"{report.cells[(kind, s)][0]:.1f}+-{report.cells[(kind, s)][1]:.1f}" for s in subsets]
-            lines.append(kind + "," + ",".join(cells))
+        lines += [kind + "," + ",".join(cells) for kind, cells in rows.items()]
         return provenance_header(report.seed) + "\n".join(lines) + "\n"
     if fmt == "txt":
         width = 16
         lines = [caption, f"seed={report.seed} format_version={FORMAT_VERSION}", ""]
         lines.append("".ljust(12) + "".join(SUBSET_TITLES[s].ljust(width) for s in subsets))
-        for kind in REPORT_ROWS:
-            cells = [
-                f"{report.cells[(kind, s)][0]:.1f}+-{report.cells[(kind, s)][1]:.1f}".ljust(width)
-                for s in subsets
-            ]
-            lines.append(kind.ljust(12) + "".join(cells))
+        lines += [kind.ljust(12) + "".join(cell.ljust(width) for cell in cells) for kind, cells in rows.items()]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

@@ -2,7 +2,7 @@
 
 The index counts thresholded modulus maxima of the ratio between a
 low-frequency and a high-frequency detail band of the pupil diameter
-signal, normalized by segment duration (units: 1/second).  The wavelet
+signal resampled to RESAMPLE_RATE_HZ, per second of signal.  The wavelet
 machinery (a 32-tap least-asymmetric orthonormal filter bank with
 periodized extension) is self-contained; the filter coefficients are
 embedded as constants below.
@@ -10,7 +10,6 @@ embedded as constants below.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,8 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import PUPIL_GAP_CONFIDENCE, PUPIL_MAX_GAP_FRACTION, pupil_gap_fraction
-
-log = logging.getLogger(__name__)
 
 # Decomposition low-pass filter: 32-tap orthonormal least-asymmetric filter
 # with 16 vanishing moments, generated by spectral factorization of the
@@ -82,23 +79,13 @@ class WaveletSpec:
 SYM16 = WaveletSpec(dec_lo=_SYM16_DEC_LO)
 
 
-@dataclass(frozen=True)
-class UniformPupilSignal:
-    rate_hz: float
-    samples: np.ndarray
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.rate_hz
-
-
 MIN_USABLE_S = 2.0
 RESAMPLE_RATE_HZ = 120.0
 
 
-def preprocess_pupil(raw: np.ndarray) -> UniformPupilSignal | None:
+def preprocess_pupil(raw: np.ndarray) -> np.ndarray | None:
     """Gap-fill and resample an (n, 3) array of (t, diameter, confidence)
-    samples to a uniform 120 Hz grid.
+    samples to the uniform RESAMPLE_RATE_HZ grid; returns the diameters.
 
     Samples below the confidence threshold are gaps, and every gap sample
     counts the same toward the gap budget, however long its gap.
@@ -128,8 +115,7 @@ def preprocess_pupil(raw: np.ndarray) -> UniformPupilSignal | None:
 
     n = int(math.floor((t1 - t0) * RESAMPLE_RATE_HZ)) + 1
     grid = t0 + np.arange(n) / RESAMPLE_RATE_HZ
-    samples = np.interp(grid, t, d)
-    return UniformPupilSignal(rate_hz=RESAMPLE_RATE_HZ, samples=samples)
+    return np.interp(grid, t, d)
 
 
 def _dwt_step(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -190,8 +176,8 @@ def _band_ratio(cd_l: np.ndarray, cd_h: np.ndarray, stride: int) -> np.ndarray:
     return ratio
 
 
-def lhipa(signal: UniformPupilSignal) -> float:
-    """Low/high pupillary activity index, in events per second.
+def lhipa(samples: np.ndarray) -> float:
+    """Low/high pupillary activity index of RESAMPLE_RATE_HZ samples, in events per second.
 
     Pipeline: detail bands at levels 1 (high) and maxlevel//2 (low), each
     normalized by 1/sqrt(2^level); pointwise low/high ratio with index
@@ -199,7 +185,7 @@ def lhipa(signal: UniformPupilSignal) -> float:
     modulus maxima; universal threshold sigma * sqrt(2 * log2(n)) zeroing
     large-magnitude maxima; surviving count divided by signal duration.
     """
-    x = np.asarray(signal.samples, dtype=float)
+    x = np.asarray(samples, dtype=float)
     n = len(x)
     maxlevel = max_decomposition_level(n)
     if maxlevel < 2:
@@ -209,28 +195,22 @@ def lhipa(signal: UniformPupilSignal) -> float:
     cd_h = dwt_detail(x, hif) / math.sqrt(2.0**hif)
     cd_l = dwt_detail(x, lof) / math.sqrt(2.0**lof)
 
-    ratio = _band_ratio(cd_l, cd_h, 2 ** (lof - hif))
-
-    if not np.any(ratio) and np.any(np.abs(cd_l) >= 1e-12):
-        log.warning("lhipa: high-frequency band is zero while low band is not; returning 0")
-        return 0.0
-
-    maxima = modulus_maxima(ratio)
+    maxima = modulus_maxima(_band_ratio(cd_l, cd_h, 2 ** (lof - hif)))
     lam = float(np.std(maxima)) * math.sqrt(2.0 * math.log2(len(maxima)))
     kept = maxima.copy()
     kept[np.abs(kept) > lam] = 0.0
     count = int(np.count_nonzero(kept))
-    return count / signal.duration_s
+    return count / (n / RESAMPLE_RATE_HZ)
 
 
 def compute_lhipa(raw: np.ndarray) -> float | None:
     """Preprocess one eye's (n, 3) sample array and compute the index; None when unusable."""
     if len(raw) == 0:
         return None
-    signal = preprocess_pupil(raw)
-    if signal is None:
+    samples = preprocess_pupil(raw)
+    if samples is None:
         return None
     try:
-        return lhipa(signal)
+        return lhipa(samples)
     except ValueError:
         return None

@@ -221,7 +221,6 @@ class CorrelationMatrix:
     labels: tuple[str, ...]
     r: np.ndarray
     p: np.ndarray
-    n: np.ndarray
 
 
 def correlation_matrices(columns: Mapping[str, Sequence[float]]) -> CorrelationMatrix:
@@ -236,16 +235,13 @@ def correlation_matrices(columns: Mapping[str, Sequence[float]]) -> CorrelationM
     diagonal = np.eye(k, dtype=bool)
     r = np.where(diagonal, 1.0, np.nan)
     p = np.where(diagonal, 0.0, np.nan)
-    n = np.zeros((k, k), dtype=int)
     for i in range(k):
-        n[i, i] = int(np.sum(~np.isnan(data[i])))
         for j in range(i + 1, k):
             mask = ~np.isnan(data[i]) & ~np.isnan(data[j])
-            n[i, j] = n[j, i] = int(mask.sum())
-            if n[i, j] >= 3 and not (result := pearson(data[i][mask], data[j][mask])).degenerate:
+            if mask.sum() >= 3 and not (result := pearson(data[i][mask], data[j][mask])).degenerate:
                 r[i, j] = r[j, i] = result.statistic
                 p[i, j] = p[j, i] = result.p_value
-    return CorrelationMatrix(labels=labels, r=r, p=p, n=n)
+    return CorrelationMatrix(labels=labels, r=r, p=p)
 
 
 def significance_stars(p_value: float) -> str:

@@ -42,6 +42,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .cardiac import MIN_RR_MS
 from .core import (
     LEVELS,
     SEGMENT_MAX_DURATION_S,
@@ -144,7 +145,7 @@ def _synth_rr(rng, duration_s: float, hr_bpm: float, rmssd_ms: float):
     if rmssd_ms >= mean_rr:
         raise ValueError(f"infeasible targets: RMSSD {rmssd_ms} >= mean RR {mean_rr:.0f}")
     jitter_sd = rmssd_ms / math.sqrt(2.0)
-    if mean_rr - 3.2 * jitter_sd <= 300.0:
+    if mean_rr - 3.2 * jitter_sd <= MIN_RR_MS:
         raise ValueError("infeasible targets: RR jitter reaches the artifact-rejection floor")
     n_max = int(duration_s * 1000.0 / (mean_rr - 3.2 * jitter_sd)) + 2
     # truncate jitter at 3.2 sd so successive jumps stay inside cleaning bounds
@@ -284,13 +285,14 @@ _RANGES = {
 }
 
 
-def save_config(config: GeneratorConfig, path: str | Path) -> None:
+def config_text(config: GeneratorConfig) -> str:
+    """The generator_config.txt text of `config`, which `load_config` reads back."""
     lines = [f"{name}={getattr(config, name)!r}" for name in _SCALAR_TYPES]
     for (task, level), t in sorted(config.targets.items(), key=lambda kv: (kv[0][0].value, int(kv[0][1]))):
         prefix = f"{task.value}.{level.name.lower()}"
         for fname in _TARGET_TYPES:
             lines.append(f"{prefix}.{fname}={getattr(t, fname)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str | Path) -> GeneratorConfig:

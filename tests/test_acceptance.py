@@ -26,7 +26,7 @@ from loadsense.evaluate import (
     run_nested_cv,
 )
 from loadsense.learn import Candidate, accuracy, fit_knn, greedy_ensemble
-from loadsense.pupil import SYM16, UniformPupilSignal, _dwt_step, dwt_detail, lhipa
+from loadsense.pupil import SYM16, _dwt_step, dwt_detail, lhipa
 from loadsense.stats import cronbach_alpha, paired_t, pearson, reliability_screen
 from loadsense.synth import GeneratorConfig, generate_dataset, null_config
 
@@ -95,7 +95,7 @@ def test_criterion_1_formula_oracles():
 # Criterion 2: LHIPA fidelity against the frozen offline oracle fixtures
 
 
-def _fixture_signal(seed: int, rate_hz: float, duration_s: float) -> UniformPupilSignal:
+def _fixture_signal(seed: int, rate_hz: float, duration_s: float) -> np.ndarray:
     rng = np.random.default_rng(1000 + seed)
     n = int(duration_s * rate_hz)
     t = np.arange(n) / rate_hz
@@ -105,8 +105,7 @@ def _fixture_signal(seed: int, rate_hz: float, duration_s: float) -> UniformPupi
         amp = rng.uniform(0.05, 0.15)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         signal = signal + amp * np.sin(2.0 * math.pi * freq * t + phase)
-    signal = signal + rng.normal(0.0, 0.02, size=n)
-    return UniformPupilSignal(rate_hz=rate_hz, samples=signal)
+    return signal + rng.normal(0.0, 0.02, size=n)
 
 
 def test_criterion_2_lhipa_fidelity():
@@ -117,8 +116,7 @@ def test_criterion_2_lhipa_fidelity():
         signal = _fixture_signal(int(row["seed"]), float(row["rate_hz"]), float(row["duration_s"]))
         assert lhipa(signal) == pytest.approx(float(row["expected_lhipa"]), abs=1e-6)
 
-    constant = UniformPupilSignal(rate_hz=120.0, samples=np.full(14400, 4.0))
-    assert lhipa(constant) == 0.0
+    assert lhipa(np.full(14400, 4.0)) == 0.0
 
     for n in (1024, 4096, 14400):
         x = np.random.default_rng(n).normal(size=n)

@@ -152,6 +152,21 @@ class TestFeaturesAndStats:
         assert lines[2].startswith("participant,task,level,hr_mean")
         assert len(lines) == 3 + 12 * 6
 
+    def test_participant_id_holding_a_comma_skips_its_segments(self, tiny_dataset, tmp_path, capsys):
+        write_dataset(tiny_dataset, tmp_path / "ds")
+        manifests = sorted((tmp_path / "ds" / "p001").glob("*/manifest.json"))
+        for manifest in manifests:
+            manifest.write_text(manifest.read_text().replace('"p001"', '"p,0"'))
+        assert run_cli(["features", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "features.csv").read_text().splitlines()[2:]
+        assert len(lines) == 1 + 6 and {len(line.split(",")) for line in lines} == {11}
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"skipping segment: {m}: field 'participant' 'p,0' is empty or not one CSV cell"
+                       for m in manifests]
+        assert run_cli(["features", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "strict"),
+                        "--strict"]) == 1
+        assert not (tmp_path / "strict").exists()
+
     def test_stats_writes_all_outputs(self, dataset_dir, tmp_path):
         assert run_cli(["stats", "--dataset", str(dataset_dir), "--out", str(tmp_path), "--seed", "5"]) == 0
         for name in ("descriptives.csv", "reliability.csv", "correlations.txt", "paired_tests.csv", "run.json"):

@@ -119,6 +119,12 @@ class TestValidateDataset:
         assert any("complete n-back level set" in i.message for i in warnings)
 
 
+# Participant ids that split or merge a CSV row's cells (a lone surrogate has
+# no UTF-8 encoding at all); each is a valid directory name.
+NOT_ONE_CSV_CELL = ["p,0", 'p"0', "p\r0", "p\n0", "p\udc80"]
+NOT_ONE_CSV_CELL_IDS = ["comma", "quote", "CR", "LF", "surrogate"]
+
+
 class TestRoundTrip:
     def test_write_then_load_is_bit_exact(self, tiny_dataset, tmp_path):
         write_dataset(tiny_dataset, tmp_path / "ds")
@@ -174,6 +180,15 @@ class TestRoundTrip:
         assert str(info.value) == f"{root}: participant id {pid!r} is not one directory name under the root"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("pid", NOT_ONE_CSV_CELL, ids=NOT_ONE_CSV_CELL_IDS)
+    def test_participant_id_that_is_not_one_csv_cell_is_rejected_before_writing(self, tiny_dataset, tmp_path, pid):
+        last = dataclasses.replace(tiny_dataset.segments[-1], participant_id=pid)
+        root = tmp_path / "tree"
+        with pytest.raises(DatasetError) as info:
+            write_dataset(Dataset(segments=(*tiny_dataset.segments[:-1], last)), root)
+        assert str(info.value) == f"{root}: participant id {pid!r} would not read back as written"
+        assert list(tmp_path.iterdir()) == []
+
     def test_payload_without_a_delimiter_quote_or_line_break_reads_back(self, clean_segment, tmp_path):
         seg = dataclasses.replace(clean_segment, events=(TaskEvent(1.0, EventKind.STIMULUS_ONSET, " s0;\t'x' "),))
         write_dataset(Dataset(segments=(seg,)), tmp_path)
@@ -210,6 +225,22 @@ class TestLoadDataset:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(DatasetError, match=rf"manifest.json: field '{field}' has unknown value \["):
             load_dataset(tmp_path, strict=True)
+
+    @pytest.mark.parametrize("pid", ["", *NOT_ONE_CSV_CELL], ids=["empty", *NOT_ONE_CSV_CELL_IDS])
+    def test_participant_id_that_is_empty_or_not_one_csv_cell_skips_the_segment(self, tiny_dataset, tmp_path, pid):
+        write_dataset(tiny_dataset, tmp_path)
+        manifest = tmp_path / "p001" / "nback_easy" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["participant"] = pid
+        manifest.write_text(json.dumps(doc))
+        want = f"{manifest}: field 'participant' {pid!r} is empty or not one CSV cell"
+        messages = []
+        ds = load_dataset(tmp_path, report=messages.append)
+        assert len(ds.segments) == len(tiny_dataset.segments) - 1
+        assert messages == [f"skipping segment: {want}"]
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tmp_path, strict=True)
+        assert str(info.value) == want
 
     def test_unknown_event_kind_errors(self, clean_segment, tmp_path):
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)

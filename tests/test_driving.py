@@ -84,15 +84,17 @@ class TestDeviationSeries:
 class TestDeviationStats:
     def test_all_zeros(self):
         dev = deviation_series(np.array([(0.0, 0.0), (10.0, 0.0)]), build_ideal_path([]))
-        assert deviation_stats(dev) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert deviation_stats(dev) == 0.0
 
     def test_two_values_hand_computed(self):
-        mean, median, lo, hi, std = deviation_stats(np.asarray([0.1, 0.3]))
-        assert (mean, median, lo, hi) == pytest.approx((0.2, 0.2, 0.1, 0.3))
-        assert std == pytest.approx(0.1414, abs=1e-4)
+        assert deviation_stats(np.asarray([0.1, 0.3])) == pytest.approx(0.2)
 
     def test_constant_values(self):
-        assert deviation_stats(np.full(100, 0.5)) == (0.5, 0.5, 0.5, 0.5, 0.0)
+        assert deviation_stats(np.full(100, 0.5)) == 0.5
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty series"):
+            deviation_stats(np.zeros(0))
 
 
 def _stim(t, present):

@@ -157,7 +157,7 @@ def _reference_featurize_segment(seg):
         t, lane = seg.driving[:, 0], seg.driving[:, 2]
         changes = np.flatnonzero(np.diff(lane)) + 1
         points = [(DEFAULT_SPEED_MPS * (t[i] - t[0]), lane[i - 1], lane[i]) for i in changes]
-        values["drive_avg_dev"] = deviation_stats(deviation_series(seg.driving, build_ideal_path(points)))[0]
+        values["drive_avg_dev"] = deviation_stats(deviation_series(seg.driving, build_ideal_path(points)))
     except ValueError:
         pass
     return FeatureVector(**values)

@@ -71,7 +71,7 @@ def test_every_private_name_has_a_program_consumer():
 
 def test_every_generator_setting_is_read():
     """Each GeneratorConfig and LevelTargets field is read as an attribute in
-    the package; save_config's getattr over every field does not count."""
+    the package; config_text's getattr over every field does not count."""
     read = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
