@@ -437,10 +437,12 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
     try:
         task_name = manifest["task"]
         level_name = manifest["level"]
-        participant = str(manifest["participant"])
+        participant = manifest["participant"]
         duration_s = float(manifest["duration_s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{manifest_path}: bad manifest field: {exc}") from None
+    if not isinstance(participant, str):
+        raise DatasetError(f"{manifest_path}: field 'participant' has non-string value {participant!r}")
     if not participant or _PAYLOAD_BREAKERS.search(participant):
         raise DatasetError(f"{manifest_path}: field 'participant' {participant!r} is empty or not one CSV cell")
 

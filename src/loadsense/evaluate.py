@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .cardiac import compute_cardiac_features
 from .core import (Dataset, DatasetError, FeatureRow, FeatureVector, LoadLevel, SessionSegment, TaskKind,
                    feature_matrix, provenance_header)
 from .driving import compute_drive_avg_dev
-from .learn import MODEL_KINDS, TrainedModel, accuracy, fit_scaler, grid_search, greedy_ensemble
+from .learn import (ADABOOST_MAX_STUMPS, MODEL_KINDS, Scaler, TrainedModel, accuracy, fit_adaboost, fit_adaboost_many,
+                    fit_scaler, grid_search, greedy_ensemble)
 from .pupil import compute_lhipa
 
 HEART_FEATURES = ("hr_mean", "hr_min", "hr_max", "hr_std", "hrv_rmssd")
@@ -136,37 +137,37 @@ def _rows_of(rows: Sequence[FeatureRow], participants: Sequence[str]) -> list[Fe
     return [r for r in rows if r.participant in members]
 
 
-def select_and_fit(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureRow],
-                   subset: tuple[str, ...]) -> dict[str, TrainedModel]:
-    """Fit the scaler on the training rows, grid-search every model kind and
-    select the greedy ensemble on the validation rows.  Returns the
-    REPORT_ROWS models by name, the best of each kind and then the ensemble,
-    each with the scaler attached: they take unscaled input."""
+class Selection(NamedTuple):
+    """The input of one model selection: the scaler fitted on the training
+    rows, and the scaled training and validation matrices with their labels."""
+
+    scaler: Scaler
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_val: np.ndarray
+    y_val: np.ndarray
+
+
+def prepare_selection(train_rows: Sequence[FeatureRow], val_rows: Sequence[FeatureRow],
+                      subset: tuple[str, ...]) -> Selection:
+    """Fit the scaler on the training rows and scale both matrices."""
     X_train = feature_matrix(train_rows, subset)
     scaler = fit_scaler(X_train)
-    X_val = scaler.transform(feature_matrix(val_rows, subset))
-    y_val = _labels(val_rows)
-    candidates = grid_search(scaler.transform(X_train), _labels(train_rows), X_val, y_val)
+    return Selection(scaler, scaler.transform(X_train), _labels(train_rows),
+                     scaler.transform(feature_matrix(val_rows, subset)), _labels(val_rows))
+
+
+def select_and_fit(selection: Selection, boosted: Callable[[], TrainedModel]) -> dict[str, TrainedModel]:
+    """Grid-search every model kind and select the greedy ensemble on the
+    validation rows; `boosted` returns the selection's AdaBoost model at
+    ADABOOST_MAX_STUMPS (see `grid_search`).  Returns the REPORT_ROWS models
+    by name, the best of each kind and then the ensemble, each with the
+    scaler attached: they take unscaled input."""
+    candidates = grid_search(selection.X_train, selection.y_train, selection.X_val, selection.y_val, boosted)
     # candidates rank best first
     models = {kind: next(c.model for c in candidates if c.kind == kind) for kind in MODEL_KINDS}
-    models["Ensemble"] = greedy_ensemble(candidates, y_val)
-    return {name: replace(model, scaler=scaler) for name, model in models.items()}
-
-
-def _evaluate_fold(rows, fold, subsets):
-    """Accuracy of each (model row, subset) on one outer fold's test rows."""
-    result: dict[tuple[str, str], float] = {}
-    train_rows, val_rows = _rows_of(rows, fold.train), _rows_of(rows, fold.validation)
-    test_rows = _rows_of(rows, fold.test)
-    if not test_rows:
-        raise ValueError("fold has no test rows for the requested task")
-    y_test = _labels(test_rows)
-    for subset_name in subsets:
-        subset = FEATURE_SUBSETS[subset_name]
-        X_test = feature_matrix(test_rows, subset)
-        for name, model in select_and_fit(train_rows, val_rows, subset).items():
-            result[(name, subset_name)] = accuracy(model, X_test, y_test)
-    return result
+    models["Ensemble"] = greedy_ensemble(candidates, selection.y_val)
+    return {name: replace(model, scaler=selection.scaler) for name, model in models.items()}
 
 
 def train(rows: Sequence[FeatureRow], task: TaskKind, scheme: str, subset: str, seed: int) -> TrainedModel:
@@ -178,8 +179,10 @@ def train(rows: Sequence[FeatureRow], task: TaskKind, scheme: str, subset: str, 
     if len(shuffled) < 3:
         raise DatasetError("need at least 3 participants to train")
     fold = _fold(shuffled, ())
-    train_rows, val_rows = _rows_of(task_rows, fold.train), _rows_of(task_rows, fold.validation)
-    return select_and_fit(train_rows, val_rows, FEATURE_SUBSETS[subset])["Ensemble"]
+    selection = prepare_selection(_rows_of(task_rows, fold.train), _rows_of(task_rows, fold.validation),
+                                  FEATURE_SUBSETS[subset])
+    return select_and_fit(selection, lambda: fit_adaboost(selection.X_train, selection.y_train,
+                                                          ADABOOST_MAX_STUMPS))["Ensemble"]
 
 
 def run_nested_cv(
@@ -193,9 +196,12 @@ def run_nested_cv(
     """Nested cross-validation over the split plan; cells are mean% +- std%
     test accuracy over the outer folds.
 
-    `threads` is accepted and ignored: the folds run one after another,
-    because the fold work holds the interpreter lock and a thread pool
-    measured slower, not faster."""
+    Every (fold, subset) selection is prepared first, and one
+    `fit_adaboost_many` call boosts all their AdaBoost models together;
+    then each is selected and scored on its test rows, fold by fold.  An
+    error is raised where the fold-by-fold order reaches it.  `threads` is
+    accepted and ignored: the work holds the interpreter lock, and a thread
+    pool measured slower, not faster."""
     subsets = tuple(subsets) if subsets else tuple(FEATURE_SUBSETS)
     for name in subsets:
         if name not in FEATURE_SUBSETS:
@@ -206,7 +212,32 @@ def run_nested_cv(
     if not present <= planned:
         raise ValueError("split plan does not cover all participants present in the features")
 
-    fold_results = [_evaluate_fold(task_rows, fold, subsets) for fold in plan.folds]
+    folds = [tuple(_rows_of(task_rows, part) for part in (fold.train, fold.validation, fold.test))
+             for fold in plan.folds]
+    selections: dict[tuple[int, str], Selection | ValueError] = {}
+    for f, (train_rows, val_rows, _) in enumerate(folds):
+        for name in subsets:
+            try:
+                selections[f, name] = prepare_selection(train_rows, val_rows, FEATURE_SUBSETS[name])
+            except ValueError as exc:  # raised when its fold is scored
+                selections[f, name] = exc
+    prepared = [key for key, s in selections.items() if isinstance(s, Selection)]
+    boosted = dict(zip(prepared, fit_adaboost_many(
+        [(selections[key].X_train, selections[key].y_train) for key in prepared], ADABOOST_MAX_STUMPS)))
+
+    fold_results = []
+    for f, (_, _, test_rows) in enumerate(folds):
+        if not test_rows:
+            raise ValueError("fold has no test rows for the requested task")
+        y_test = _labels(test_rows)
+        result: dict[tuple[str, str], float] = {}
+        for name in subsets:
+            if isinstance(selections[f, name], ValueError):
+                raise selections[f, name]
+            X_test = feature_matrix(test_rows, FEATURE_SUBSETS[name])
+            for kind, model in select_and_fit(selections[f, name], boosted[f, name]).items():
+                result[(kind, name)] = accuracy(model, X_test, y_test)
+        fold_results.append(result)
 
     cells: dict[tuple[str, str], tuple[float, float]] = {}
     for kind in REPORT_ROWS:

@@ -9,14 +9,15 @@ model kind then grid order for equal validation scores).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import reprlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .stumps import StumpBatch, boost, presort
 
 MODEL_KINDS = ("LDA", "KNN", "AdaBoost")
 MODEL_FORMAT_VERSION = 1
@@ -27,6 +28,7 @@ GRIDS = {
     "KNN": [{"k": k} for k in (1, 3, 5, 7, 9)],
     "AdaBoost": [{"n_stumps": n} for n in (25, 50, 100)],
 }
+ADABOOST_MAX_STUMPS = max(cfg["n_stumps"] for cfg in GRIDS["AdaBoost"])  # the size `grid_search` boosts at
 
 
 @dataclass(frozen=True)
@@ -161,108 +163,62 @@ def _predict_knn(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 # AdaBoost with depth-1 stumps, one-vs-rest for multi-class
 
 
-class _Presort(NamedTuple):
-    """Per-fit stump candidates and the side of each threshold every row
-    falls on: the boosting rounds change the weights, never these."""
-
-    features: np.ndarray  # (T,) column of each threshold
-    thresholds: np.ndarray  # (T,) column by column, ascending within a column
-    above: np.ndarray  # (T, n) bool, X[:, features].T > thresholds[:, None]; a NaN is never above
-
-
-def _presort(X: np.ndarray) -> _Presort:
-    """Candidate thresholds per column: one below the minimum, then the
-    midpoint of each pair of adjacent distinct sorted values."""
-    ordered = np.sort(X, axis=0)  # NaN sorts last and is never distinct from its neighbour
-    candidates = np.concatenate([ordered[:1] - 1.0, 0.5 * (ordered[:-1] + ordered[1:])]).T
-    keep = np.concatenate([np.ones((1, X.shape[1]), dtype=bool), ordered[1:] > ordered[:-1]]).T
-    features = np.nonzero(keep)[0]
-    thresholds = candidates[keep]
-    return _Presort(features, thresholds, X.T[features] > thresholds[:, None])
+def _adaboost_error(X: np.ndarray, classes: tuple[int, ...]) -> str | None:
+    """Why `fit_adaboost` rejects a problem, or None."""
+    if len(classes) < 2:  # so there are at least 2 rows
+        return "fit_adaboost: need at least 2 classes"
+    if X.shape[1] < 1:
+        return "fit_adaboost: need at least 1 feature"
+    return None
 
 
-_EPS = float(np.finfo(float).eps)
+def fit_adaboost_many(problems: Sequence[tuple[np.ndarray, Sequence[int]]],
+                      n_stumps: int) -> list[Callable[[], TrainedModel]]:
+    """Discrete AdaBoost on decision stumps for every (X, y) problem, all
+    one-vs-rest machines of all problems boosted together round by round.
 
+    Returns, per problem, a function that builds the model
+    ``fit_adaboost(X, y, n_stumps)`` returns, or raises its ValueError; a
+    problem `fit_adaboost` rejects is not boosted.  A stump (feature,
+    threshold, polarity, alpha) predicts polarity * sign(x[feature] -
+    threshold), with sign(0) treated as -1.  Each round takes the stump
+    `StumpBatch.best` picks among the `presort` candidates.  The rounds are
+    deterministic, so the model fitted with fewer stumps is a per-class
+    prefix of this one's machines (see `grid_search`)."""
+    problems = [(np.asarray(X, dtype=float), np.asarray(y, dtype=int)) for X, y in problems]
+    classes = [tuple(sorted(set(y.tolist()))) for _, y in problems]
+    errors = [_adaboost_error(X, c) for (X, _), c in zip(problems, classes)]
+    boosted = [i for i, e in enumerate(errors) if e is None]
+    machines, first = [], {}  # one per class of each boosted problem; a problem's first machine
+    for q, i in enumerate(boosted):
+        first[i] = len(machines)
+        machines += [(q, problems[i][1] == c) for c in classes[i]]
+    presorts = [presort(problems[i][0]) for i in boosted]
+    stump_sites = {i: (ps.features, ps.thresholds) for i, ps in zip(boosted, presorts)}
+    if machines:
+        batch = StumpBatch(presorts, machines)
+        del presorts, machines  # the batch holds what the rounds need
+        kept, candidates, negatives, alphas = boost(batch, n_stumps)
+        del batch
 
-def _best_stump(mismatch: np.ndarray, w: np.ndarray) -> tuple[float, int, int]:
-    """(err, candidate, polarity) of the best stump; `mismatch` is (T, n),
-    True where a candidate with polarity +1 mispredicts a row, and `w` holds
-    non-negative weights.
+    def model(i: int) -> TrainedModel:
+        if errors[i] is not None:
+            raise ValueError(errors[i])
+        features, thresholds = stump_sites[i]
+        machines = []
+        for b in range(first[i], first[i] + len(classes[i])):
+            rounds = slice(kept[b])
+            machines.append([(int(features[t]), thresholds[t], -1 if negative else 1, alpha) for t, negative, alpha in
+                             zip(candidates[rounds, b].tolist(), negatives[rounds, b].tolist(), alphas[rounds, b])])
+        return TrainedModel(kind="AdaBoost", classes=classes[i], params={"machines": machines})
 
-    Candidates rank by row of `mismatch`, polarity +1 then -1, and a later
-    one wins only if its exact error, ``float(w[mismatch[t]].sum())`` or 1
-    minus that, is below the best so far by more than 1e-15.
-
-    One matrix product gives every candidate's approximate error at once,
-    adding the weights in another order than the exact error.  Both are sums
-    of at most n non-negative weights, each within n * eps * sum(w) of the
-    true sum, so they differ by less than ``slack`` (four times that bound,
-    which also covers the roundings of the comparisons).  The cluster is the
-    run of sorted approximate errors from the minimum up to the first gap
-    wider than G = 1e-15 + 2 * slack.  Every member's exact error is then
-    more than 1e-15 below every non-member's.  So in the chain over all
-    candidates the first member replaces whatever non-member is best before
-    it, and no non-member ever replaces a member: the chain over the cluster
-    alone, in candidate order, ends on the same stump, and only members are
-    evaluated exactly.
-    """
-    err_pos = mismatch @ w
-    approx = np.empty(2 * len(err_pos))
-    approx[0::2] = err_pos
-    approx[1::2] = 1.0 - err_pos
-    slack = 8.0 * (len(w) + 2) * _EPS * max(float(w.sum()), 1.0)
-    gap = 1e-15 + 2.0 * slack
-    cut = approx.min()
-    while (top := approx[approx <= cut + gap].max()) > cut:
-        cut = top
-
-    best = None
-    for k in (approx <= cut).nonzero()[0].tolist():
-        t, negative = divmod(k, 2)
-        err = float(w[mismatch[t]].sum())
-        if negative:
-            err = 1.0 - err
-        if best is None or err < best[0] - 1e-15:
-            best = (err, t, -1 if negative else 1)
-    return best
+    return [lambda i=i: model(i) for i in range(len(problems))]
 
 
 def fit_adaboost(X: np.ndarray, y: Sequence[int], n_stumps: int) -> TrainedModel:
-    """Discrete AdaBoost on decision stumps; multi-class via one-vs-rest margins.
-
-    A stump (feature, threshold, polarity, alpha) predicts
-    polarity * sign(x[feature] - threshold), with sign(0) treated as -1.
-    Each round takes the stump `_best_stump` picks among the `_presort`
-    candidates.  The rounds are deterministic, so the model fitted with fewer
-    stumps is a per-class prefix of this one's machines (see `grid_search`)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    classes = tuple(sorted(set(y.tolist())))
-    if len(classes) < 2:
-        raise ValueError("fit_adaboost: need at least 2 classes")
-    if len(X) < 2:
-        raise ValueError("fit_adaboost: need at least 2 samples")
-    presort = _presort(X)
-    machines = []
-    for c in classes:
-        mismatch = presort.above != (y == c)
-        # +1 where a polarity +1 stump errs on the row, else -1; times
-        # polarity * alpha it is the exponent -alpha * target * prediction
-        wrong = np.where(mismatch, 1.0, -1.0)
-        w = np.full(len(X), 1.0 / len(X))
-        stumps = []
-        for _ in range(n_stumps):
-            err, t, polarity = _best_stump(mismatch, w)
-            if err >= 0.5:
-                break
-            err = min(max(err, 1e-10), 1.0 - 1e-10)
-            alpha = 0.5 * np.log((1.0 - err) / err)
-            w = w * np.exp(polarity * alpha * wrong[t])
-            w /= w.sum()
-            stumps.append((int(presort.features[t]), presort.thresholds[t], polarity, alpha))
-        machines.append(stumps)
-    params = {"machines": machines}
-    return TrainedModel(kind="AdaBoost", classes=classes, params=params)
+    """Discrete AdaBoost on decision stumps; multi-class via one-vs-rest
+    margins.  The one problem's case of `fit_adaboost_many`."""
+    return fit_adaboost_many([(X, y)], n_stumps)[0]()
 
 
 def _adaboost_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -336,30 +292,33 @@ def grid_search(
     y_train: Sequence[int],
     X_val: np.ndarray,
     y_val: Sequence[int],
+    boosted: Callable[[], TrainedModel],
 ) -> list[Candidate]:
     """Train every GRIDS configuration and rank by validation accuracy.
 
-    Ties rank by model kind order (LDA < KNN < AdaBoost), then grid order.
-    A KNN configuration whose k exceeds the training set size is left out.
+    `boosted` returns ``fit_adaboost(X_train, y_train, ADABOOST_MAX_STUMPS)``
+    (or raises its error); it is called once, when the grid reaches
+    AdaBoost, and each AdaBoost configuration takes per-class prefixes of
+    that model's machines, which is exact.  Ties rank by model kind order
+    (LDA < KNN < AdaBoost), then grid order.  A KNN configuration whose k
+    exceeds the training set size is left out.
     """
     if len(np.asarray(X_val)) == 0:
         raise ValueError("grid_search: empty validation set")
     y_val = np.asarray(y_val, dtype=int)
-    # one boosting run at the largest size; smaller sizes are exact per-class prefixes
-    boosted = functools.cache(
-        lambda: fit_adaboost(X_train, y_train, max(cfg["n_stumps"] for cfg in GRIDS["AdaBoost"])))
-    fits = {
-        "LDA": lambda cfg: fit_lda(X_train, y_train, **cfg),
-        "KNN": lambda cfg: fit_knn(X_train, y_train, **cfg),
-        "AdaBoost": lambda cfg: dataclasses.replace(boosted(), params={
-            "machines": [stumps[: cfg["n_stumps"]] for stumps in boosted().params["machines"]]}),
-    }
+    fits = {"LDA": fit_lda, "KNN": fit_knn}
+    full = None
     candidates = []
     for order, (kind, cfg) in enumerate((kind, cfg) for kind in MODEL_KINDS for cfg in GRIDS[kind]):
         # a KNN k above the training set size cannot run: skipped, but it keeps its order number
         if kind == "KNN" and cfg["k"] > len(X_train):
             continue
-        model = fits[kind](cfg)
+        if kind == "AdaBoost":
+            full = boosted() if full is None else full
+            model = dataclasses.replace(full, params={
+                "machines": [stumps[: cfg["n_stumps"]] for stumps in full.params["machines"]]})
+        else:
+            model = fits[kind](X_train, y_train, **cfg)
         pred = model.predict(X_val)
         candidates.append(Candidate(kind=kind, config=cfg, model=model, val_predictions=pred,
                                     val_accuracy=float(np.mean(pred == y_val)), order=order))

@@ -14,9 +14,10 @@ import pytest
 from conftest import make_segment
 from loadsense import FORMAT_VERSION, core
 from loadsense.cli import build_parser, run_cli
-from loadsense.core import Dataset, DatasetError, TaskKind, feature_matrix, load_dataset, write_dataset
-from loadsense.evaluate import FEATURE_SUBSETS, _labels, _rows_for_task, featurize_dataset
-from loadsense.learn import fit_scaler, greedy_ensemble, grid_search, model_to_json
+from loadsense.core import Dataset, DatasetError, LoadLevel, TaskKind, feature_matrix, load_dataset, write_dataset
+from loadsense.evaluate import (FEATURE_SUBSETS, _labels, _rows_for_task, featurize_dataset, make_split_plan,
+                                run_nested_cv)
+from loadsense.learn import ADABOOST_MAX_STUMPS, fit_adaboost, fit_scaler, greedy_ensemble, grid_search, model_to_json
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -297,7 +298,9 @@ def _reference_train_json(rows, task, scheme, subset_name, seed):
     scaler = fit_scaler(feature_matrix(train_rows, subset))
     X_train = scaler.transform(feature_matrix(train_rows, subset))
     X_val = scaler.transform(feature_matrix(val_rows, subset))
-    candidates = grid_search(X_train, _labels(train_rows), X_val, _labels(val_rows))
+    y_train = _labels(train_rows)
+    candidates = grid_search(X_train, y_train, X_val, _labels(val_rows),
+                             lambda: fit_adaboost(X_train, y_train, ADABOOST_MAX_STUMPS))
     ensemble = greedy_ensemble(candidates, _labels(val_rows))
     return model_to_json(dataclasses.replace(ensemble, scaler=scaler), seed=seed)
 
@@ -384,6 +387,26 @@ RECORDED_OPTIONS = {
     "evaluate": lambda dataset: ["--dataset", dataset, "--task", "nback", "--subset", "heart",
                                  "--subset", "eye_drive", "--threads", "2"],
 }
+
+
+class TestOneClassTraining:
+    """Training rows of one class fail on LDA's message, the first fit in
+    grid order, never AdaBoost's: boosting every selection up front must
+    leave the error where the selection reaches it."""
+
+    def test_nested_cv_and_train_name_the_lda_error(self, small_dataset_dir, tmp_path, capsys):
+        dataset = load_dataset(small_dataset_dir)
+        easy = Dataset(segments=tuple(s for s in dataset.segments if s.level is LoadLevel.EASY))
+        rows = featurize_dataset(easy)
+        plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=5)
+        with pytest.raises(ValueError, match="^fit_lda: need at least 2 classes$"):
+            run_nested_cv(rows, TaskKind.NBACK, "multi", plan)
+        write_dataset(easy, tmp_path / "ds")
+        for command in ("train", "evaluate"):
+            out = tmp_path / command
+            assert run_cli([command, "--dataset", str(tmp_path / "ds"), "--out", str(out), "--task", "nback"]) == 1
+            assert capsys.readouterr().err == "error: fit_lda: need at least 2 classes\n"
+            assert not out.exists()
 
 
 class TestRunRecord:

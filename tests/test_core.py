@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_driving, make_events, make_pupil, make_segment
 from loadsense import core
+from loadsense.cli import run_cli
 from loadsense.core import (
     CHANNEL_FILES,
     GRID_DECIMALS,
@@ -241,6 +242,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetError) as info:
             load_dataset(tmp_path, strict=True)
         assert str(info.value) == want
+
+    @pytest.mark.parametrize("pid", [None, ["p001"], 7, True, {"id": "p001"}],
+                             ids=["null", "list", "int", "bool", "object"])
+    def test_non_string_participant_skips_the_segment(self, tiny_dataset, tmp_path, pid):
+        write_dataset(tiny_dataset, tmp_path)
+        manifest = tmp_path / "p001" / "nback_easy" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["participant"] = pid
+        manifest.write_text(json.dumps(doc))
+        want = f"{manifest}: field 'participant' has non-string value {pid!r}"
+        messages = []
+        ds = load_dataset(tmp_path, report=messages.append)
+        assert len(ds.segments) == len(tiny_dataset.segments) - 1
+        assert messages == [f"skipping segment: {want}"]
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tmp_path, strict=True)
+        assert str(info.value) == want
+        assert run_cli(["validate", "--dataset", str(tmp_path), "--strict"]) == 1
 
     def test_unknown_event_kind_errors(self, clean_segment, tmp_path):
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)

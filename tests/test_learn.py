@@ -8,17 +8,20 @@ import re
 import numpy as np
 import pytest
 
+from loadsense import evaluate
+from loadsense.core import TaskKind
+from loadsense.evaluate import make_split_plan, run_nested_cv
 from loadsense.learn import (
+    ADABOOST_MAX_STUMPS,
     ENSEMBLE_MAX_SIZE,
     Candidate,
     GRIDS,
     MODEL_KINDS,
     TrainedModel,
     _adaboost_scores,
-    _best_stump,
-    _presort,
     accuracy,
     fit_adaboost,
+    fit_adaboost_many,
     fit_knn,
     fit_lda,
     fit_scaler,
@@ -28,6 +31,7 @@ from loadsense.learn import (
     model_to_json,
     plurality_vote,
 )
+from loadsense.stumps import _EPS, StumpBatch, _row_sums, presort
 
 
 def blobs(rng, centers, n_per_class, scale=1.0):
@@ -262,11 +266,72 @@ def _reference_fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray):
     return best
 
 
-def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray, presort):
-    """`_best_stump` over the candidates `presort` holds for X, as
-    (err, feature, threshold, polarity): the form the oracle returns."""
-    err, t, polarity = _best_stump(presort.above != (target > 0), w)
-    return err, int(presort.features[t]), presort.thresholds[t], polarity
+def _reference_best_stump(mismatch: np.ndarray, w: np.ndarray) -> tuple[float, int, int]:
+    """The one-machine stump search the batched round replaced, an oracle:
+    (err, candidate, polarity) of the best stump, with `mismatch` (T, n) True
+    where a candidate with polarity +1 mispredicts a row.  Its cluster comes
+    from one matrix product of approximate errors; only members are summed
+    exactly, in candidate order under the 1e-15 chain."""
+    err_pos = mismatch @ w
+    approx = np.empty(2 * len(err_pos))
+    approx[0::2] = err_pos
+    approx[1::2] = 1.0 - err_pos
+    slack = 8.0 * (len(w) + 2) * _EPS * max(float(w.sum()), 1.0)
+    gap = 1e-15 + 2.0 * slack
+    cut = approx.min()
+    while (top := approx[approx <= cut + gap].max()) > cut:
+        cut = top
+
+    best = None
+    for k in (approx <= cut).nonzero()[0].tolist():
+        t, negative = divmod(k, 2)
+        err = float(w[mismatch[t]].sum())
+        if negative:
+            err = 1.0 - err
+        if best is None or err < best[0] - 1e-15:
+            best = (err, t, -1 if negative else 1)
+    return best
+
+
+def _reference_boost(X: np.ndarray, y: np.ndarray, n_stumps: int) -> list:
+    """The one-machine-at-a-time boosting loop the batch replaced, on
+    `_reference_best_stump`: the machines, an oracle."""
+    candidates = presort(X)
+    machines = []
+    for c in sorted(set(y.tolist())):
+        mismatch = candidates.above != (y == c)
+        wrong = np.where(mismatch, 1.0, -1.0)
+        w = np.full(len(X), 1.0 / len(X))
+        stumps = []
+        for _ in range(n_stumps):
+            err, t, polarity = _reference_best_stump(mismatch, w)
+            if err >= 0.5:
+                break
+            err = min(max(err, 1e-10), 1.0 - 1e-10)
+            alpha = 0.5 * np.log((1.0 - err) / err)
+            w = w * np.exp(polarity * alpha * wrong[t])
+            w /= w.sum()
+            stumps.append((int(candidates.features[t]), candidates.thresholds[t], polarity, alpha))
+        machines.append(stumps)
+    return machines
+
+
+def _fit_stumps(problems) -> list:
+    """One batched round over (X, target, w) problems, one machine each: per
+    problem (err, feature, threshold, polarity), the form the oracle returns."""
+    presorts = [presort(X) for X, _, _ in problems]
+    batch = StumpBatch(presorts, [(q, target > 0) for q, (_, target, _) in enumerate(problems)])
+    w = np.zeros(batch.target.shape)
+    for b, (_, _, wb) in enumerate(problems):
+        w[b, :len(wb)] = wb
+    err, t, negative, _ = batch.best(w)
+    return [(float(e), int(ps.features[k]), ps.thresholds[k], -1 if neg else 1)
+            for e, k, neg, ps in zip(err, t.tolist(), negative, presorts)]
+
+
+def _fit_stump(X: np.ndarray, target: np.ndarray, w: np.ndarray):
+    """The batched round with one machine."""
+    return _fit_stumps([(X, target, w)])[0]
 
 
 def _reference_adaboost_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -302,25 +367,49 @@ def random_stump_problem(rng, trial):
     return X, target, w
 
 
+def _same_stump(got, want) -> bool:
+    """Equal (err, feature, threshold, polarity); a NaN threshold (an
+    all-NaN column) never equals itself, so two NaNs count as equal."""
+    return got[:2] + got[3:] == want[:2] + want[3:] and (
+        got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2])))
+
+
+def _check_one_and_batched(problems):
+    """Each (X, target, w) problem's stump, searched alone and in batches of
+    8 problems of different sizes, equals the oracle's."""
+    wants = [_reference_fit_stump(*problem) for problem in problems]
+    for trial, (problem, want) in enumerate(zip(problems, wants)):
+        assert _same_stump(_fit_stump(*problem), want), trial
+    for first in range(0, len(problems), 8):
+        for trial, got in enumerate(_fit_stumps(problems[first:first + 8]), first):
+            assert _same_stump(got, wants[trial]), trial
+
+
 class TestStumpSearchOracle:
     def test_matches_reference_on_random_problems(self):
         rng = np.random.default_rng(2024)
-        for trial in range(1200):
-            X, target, w = random_stump_problem(rng, trial)
-            assert _fit_stump(X, target, w, _presort(X)) == _reference_fit_stump(X, target, w), trial
+        _check_one_and_batched([random_stump_problem(rng, trial) for trial in range(1200)])
 
     def test_matches_reference_with_non_finite_values(self):
         rng = np.random.default_rng(2025)
+        problems = []
         for trial in range(200):
             X, target, w = random_stump_problem(rng, trial)
             X[rng.random(X.shape) < 0.1] = np.nan
             X[rng.random(X.shape) < 0.05] = np.inf
             X[rng.random(X.shape) < 0.05] = -np.inf
-            got = _fit_stump(X, target, w, _presort(X))
-            want = _reference_fit_stump(X, target, w)
-            # a NaN threshold (an all-NaN column) never equals itself
-            assert got[:2] + got[3:] == want[:2] + want[3:], trial
-            assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2])), trial
+            problems.append((X, target, w))
+        _check_one_and_batched(problems)
+
+    def test_matches_reference_with_unnormalized_weights(self):
+        """Weights summing to up to 1e6: the approximate errors stray far
+        more than 1e-15, so the slack and the cluster's growth decide."""
+        rng = np.random.default_rng(2032)
+        problems = []
+        for trial in range(400):
+            X, target, w = random_stump_problem(rng, trial)
+            problems.append((X, target, w * 10.0 ** rng.uniform(0.0, 6.0)))
+        _check_one_and_batched(problems)
 
     def test_boosted_weights_match_reference(self):
         """Whole boosting runs: each round's stump depends on every earlier one."""
@@ -330,9 +419,8 @@ class TestStumpSearchOracle:
             X = np.round(X, 1)
             target = np.where(y == trial % 3, 1.0, -1.0)
             w = np.full(len(X), 1.0 / len(X))
-            presort = _presort(X)
             for _ in range(40):
-                got = _fit_stump(X, target, w, presort)
+                got = _fit_stump(X, target, w)
                 assert got == _reference_fit_stump(X, target, w)
                 err, j, thr, polarity = got
                 if err >= 0.5:
@@ -408,7 +496,92 @@ class TestAdaBoostModelOracle:
         assert errs[0] - 1e-15 > errs[1] and errs[1] - 1e-15 < errs[2] < errs[1]
         want = _reference_fit_stump(X, target, w)
         assert want == (errs[1], 1, 0.5, -1)
-        assert _fit_stump(X, target, w, _presort(X)) == want
+        assert _fit_stump(X, target, w) == want
+        # the same machine between others in one batch
+        rng = np.random.default_rng(2028)
+        others = [random_stump_problem(rng, trial) for trial in range(6)]
+        assert _fit_stumps(others[:3] + [(X, target, w)] + others[3:])[3] == want
+
+
+class TestAdaBoostBatch:
+    def _mixed_problems(self):
+        """Tie-heavy problems whose n, p and class count vary within the
+        batch, with the early-stop problem (machines of 1 and 3 stumps) among them."""
+        rng = np.random.default_rng(2029)
+        problems = [tie_heavy_problem(rng, trial) for trial in range(40)]
+        return problems[:20] + [(EARLY_STOP_X, EARLY_STOP_Y)] + problems[20:]
+
+    def test_batch_matches_the_reference_loop(self):
+        problems = self._mixed_problems()
+        assert len({(X.shape, len(set(y.tolist()))) for X, y in problems}) > 20
+        models = [build() for build in fit_adaboost_many(problems, 25)]
+        assert [len(m) for m in models[20].params["machines"]] == [1, 3]
+        for trial, ((X, y), model) in enumerate(zip(problems, models)):
+            # json writes every float by repr, NaN included: equal text is equal bits
+            assert json.dumps(model.params["machines"]) == json.dumps(_reference_fit_adaboost(X, y, 25)), trial
+            assert model.classes == tuple(sorted(set(y.tolist())))
+
+    def test_batch_equals_fitting_each_problem_alone(self):
+        problems = self._mixed_problems()
+        for trial, ((X, y), build) in enumerate(zip(problems, fit_adaboost_many(problems, 30))):
+            model, alone = build(), fit_adaboost(X, y, 30)
+            assert model == alone and repr(model.params) == repr(alone.params), trial
+
+    def test_rejected_problem_raises_only_when_built(self):
+        X, y = blobs(np.random.default_rng(20), [(-1.0,), (1.0,)], 5)
+        builders = fit_adaboost_many([(X, y), (X, np.zeros(len(X), dtype=int)), (X[:1], y[:1]), (X[:, :0], y)], 10)
+        assert builders[0]() == fit_adaboost(X, y, 10)
+        for rejected in builders[1:3]:
+            with pytest.raises(ValueError, match="^fit_adaboost: need at least 2 classes$"):
+                rejected()
+        with pytest.raises(ValueError, match="^fit_adaboost: need at least 1 feature$"):
+            builders[3]()
+
+    def test_nested_cv_problems_match_the_sequential_loop(self, monkeypatch):
+        """Every problem the three reports' nested CVs boost (seed 7, 10
+        participants: 75), against the one-machine-at-a-time loop."""
+        from test_evaluate import ten_participant_rows
+
+        rows = ten_participant_rows()
+        plan = make_split_plan(sorted({r.participant for r in rows}), k=5, seed=7)
+        batches = []
+
+        def recording(problems, n_stumps):
+            batches.append((problems, n_stumps))
+            return fit_adaboost_many(problems, n_stumps)
+
+        monkeypatch.setattr(evaluate, "fit_adaboost_many", recording)
+        for task, scheme in ((TaskKind.NBACK, "multi"), (TaskKind.NBACK, "binary"), (TaskKind.VISUAL_SEARCH, "multi")):
+            run_nested_cv(rows, task, scheme, plan)
+        assert [(len(problems), n_stumps) for problems, n_stumps in batches] == [(25, ADABOOST_MAX_STUMPS)] * 3
+        for problems, n_stumps in batches:
+            for (X, y), build in zip(problems, fit_adaboost_many(problems, n_stumps)):
+                assert repr(build().params["machines"]) == repr(_reference_boost(X, y, n_stumps))
+
+
+class TestSummationOrder:
+    """`_row_sums` must add exactly as ``ndarray.sum`` does, or the exact
+    stump errors and the weight normalization shift in their last bits; a
+    numpy whose summation order differs fails here by name."""
+
+    def test_reduceat_segments_match_masked_sums(self):
+        rng = np.random.default_rng(2030)
+        for length in range(1, 201):
+            values = rng.random((6, length)) * rng.choice([1e-3, 1.0, 1e3], size=(6, 1))
+            mask = rng.random((6, length)) < rng.random((6, 1))
+            want = [float(v[m].sum()) for v, m in zip(values, mask)]
+            # the form itself: each segment a 0.0 slot, then the selected values
+            segments = [np.concatenate([[0.0], v[m]]) for v, m in zip(values, mask)]
+            sizes = np.asarray([len(seg) for seg in segments])
+            assert np.add.reduceat(np.concatenate(segments), np.cumsum(sizes) - sizes).tolist() == want, length
+            assert _row_sums(values, mask).tolist() == want, length
+
+    def test_normalization_sums_match_whole_row_sums(self):
+        rng = np.random.default_rng(2031)
+        n = rng.integers(1, 201, size=300)
+        w = np.where(np.arange(200) < n[:, None], rng.random((300, 200)) * 0.01, 0.0)
+        want = [float(row[:k].sum()) for row, k in zip(w, n)]
+        assert _row_sums(w, np.arange(200) < n[:, None]).tolist() == want
 
 
 class TestAdaBoostPredictOracle:
@@ -436,18 +609,23 @@ EARLY_STOP_X = np.asarray([[2.0], [0.0], [2.0], [1.0], [1.0], [1.0], [0.0], [2.0
 EARLY_STOP_Y = np.asarray([0, 1, 1, 1, 0, 0, 0, 0, 0])
 
 
+def _boosted(X, y):
+    """The `boosted` argument of `grid_search`: the AdaBoost model at the grid's largest size."""
+    return lambda: fit_adaboost(X, y, ADABOOST_MAX_STUMPS)
+
+
 class TestGridSearch:
     def test_separable_data_reaches_perfect_validation(self):
         rng = np.random.default_rng(8)
         X, y = blobs(rng, [(-5.0, 0.0), (5.0, 0.0)], 30, scale=0.1)
         Xv, yv = blobs(rng, [(-5.0, 0.0), (5.0, 0.0)], 30, scale=0.1)
-        candidates = grid_search(X, y, Xv, yv)
+        candidates = grid_search(X, y, Xv, yv, _boosted(X, y))
         assert candidates[0].val_accuracy == 1.0
 
     def test_tie_breaks_by_kind_then_grid_order(self):
         rng = np.random.default_rng(9)
         X, y = blobs(rng, [(-5.0,), (5.0,)], 20, scale=0.1)
-        candidates = grid_search(X, y, X, y)
+        candidates = grid_search(X, y, X, y, _boosted(X, y))
         perfect = [c for c in candidates if c.val_accuracy == candidates[0].val_accuracy]
         orders = [c.order for c in perfect]
         assert orders == sorted(orders)
@@ -456,14 +634,14 @@ class TestGridSearch:
     def test_empty_validation_rejected(self):
         X, y = blobs(np.random.default_rng(0), [(-1.0,), (1.0,)], 5)
         with pytest.raises(ValueError, match="empty validation"):
-            grid_search(X, y, np.zeros((0, 1)), [])
+            grid_search(X, y, np.zeros((0, 1)), [], _boosted(X, y))
 
     def test_all_kinds_present_with_default_grids(self):
         rng = np.random.default_rng(10)
         X, y = blobs(rng, [(-1.0,), (1.0,)], 10)
-        kinds = {c.kind for c in grid_search(X, y, X, y)}
+        kinds = {c.kind for c in grid_search(X, y, X, y, _boosted(X, y))}
         assert kinds == set(MODEL_KINDS)
-        assert len(grid_search(X, y, X, y)) == sum(len(g) for g in GRIDS.values())
+        assert len(grid_search(X, y, X, y, _boosted(X, y))) == sum(len(g) for g in GRIDS.values())
 
 
     @pytest.mark.parametrize("case", ["blobs", "early_stop"])
@@ -473,7 +651,7 @@ class TestGridSearch:
         else:
             X, y = EARLY_STOP_X, EARLY_STOP_Y
             assert [len(m) for m in fit_adaboost(X, y, n_stumps=100).params["machines"]] == [1, 3]
-        candidates = grid_search(X, y, X, y)
+        candidates = grid_search(X, y, X, y, _boosted(X, y))
         boosted = {c.config["n_stumps"]: c.model for c in candidates if c.kind == "AdaBoost"}
         assert sorted(boosted) == [25, 50, 100]
         for n_stumps, model in boosted.items():
@@ -482,7 +660,7 @@ class TestGridSearch:
     def test_knn_configs_above_training_size_are_skipped(self):
         rng = np.random.default_rng(19)
         X, y = blobs(rng, [(-1.0,), (1.0,)], 4)  # 8 training rows: k = 9 cannot run
-        candidates = grid_search(X, y, X, y)
+        candidates = grid_search(X, y, X, y, _boosted(X, y))
         knn = sorted((c.order, c.config["k"]) for c in candidates if c.kind == "KNN")
         assert knn == [(4, 1), (5, 3), (6, 5), (7, 7)]
         assert sorted(c.order for c in candidates if c.kind == "AdaBoost") == [9, 10, 11]
@@ -686,7 +864,7 @@ def _unscaled_document(kind: str) -> dict:
 def _ensemble(rng=None) -> TrainedModel:
     rng = rng or np.random.default_rng(15)
     X, y = blobs(rng, [(-2.0,), (2.0,)], 20)
-    return greedy_ensemble(grid_search(X, y, X, y), y)
+    return greedy_ensemble(grid_search(X, y, X, y, _boosted(X, y)), y)
 
 
 def _assert_same(restored, fitted):
