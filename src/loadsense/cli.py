@@ -173,13 +173,17 @@ def run_cli(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    source = "--seed"
     if getattr(args, "seed", DEFAULT_SEED) is None:  # a seed-taking command without --seed
-        env = os.environ.get("LOADSENSE_SEED", str(DEFAULT_SEED))
+        source, env = "LOADSENSE_SEED", os.environ.get("LOADSENSE_SEED", str(DEFAULT_SEED))
         try:
             args.seed = int(env)
         except ValueError:
             print(f"usage: LOADSENSE_SEED must be an integer, got {env!r}", file=sys.stderr)
             return 2
+    if getattr(args, "seed", DEFAULT_SEED) < 0:
+        print(f"usage: {source} must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.func(args, argv)
     except (DatasetError, ValueError, OSError) as exc:

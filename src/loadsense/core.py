@@ -438,9 +438,15 @@ def _load_segment_dir(seg_dir: Path) -> SessionSegment:
         task_name = manifest["task"]
         level_name = manifest["level"]
         participant = manifest["participant"]
-        duration_s = float(manifest["duration_s"])
-    except (KeyError, TypeError, ValueError) as exc:
+        duration_s = manifest["duration_s"]
+    except (KeyError, TypeError) as exc:
         raise DatasetError(f"{manifest_path}: bad manifest field: {exc}") from None
+    if type(duration_s) not in (int, float):  # a JSON number; not a bool, not a numeric string
+        raise DatasetError(f"{manifest_path}: field 'duration_s' has non-numeric value {duration_s!r}")
+    try:
+        duration_s = float(duration_s)
+    except OverflowError:  # an int beyond the float range, which validation then rejects
+        duration_s = math.inf if duration_s > 0 else -math.inf
     if not isinstance(participant, str):
         raise DatasetError(f"{manifest_path}: field 'participant' has non-string value {participant!r}")
     if not participant or _PAYLOAD_BREAKERS.search(participant):

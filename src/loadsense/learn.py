@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,9 +46,12 @@ def fit_scaler(X: np.ndarray) -> Scaler:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("fit_scaler: need a non-empty 2-D training matrix")
-    mean = np.nanmean(X, axis=0)
-    mean = np.where(np.isnan(mean), 0.0, mean)  # all-missing column
-    filled = np.where(np.isnan(X), mean, X)
+    present = ~np.isnan(X)
+    count = present.sum(axis=0)
+    # np.nanmean's sum and division, bit for bit, without its warning on an
+    # all-missing column, whose mean is 0
+    mean = np.divide(np.where(present, X, 0.0).sum(axis=0), count, out=np.zeros(X.shape[1]), where=count > 0)
+    filled = np.where(present, X, mean)
     std = np.std(filled, axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
     std = np.where(std == 0.0, 1.0, std)
     return Scaler(mean=mean, std=std)
@@ -370,25 +371,9 @@ def greedy_ensemble(candidates: Sequence[Candidate], y_val: Sequence[int]) -> Tr
 # JSON serialization
 
 
-# Each kind's params, as its fit function (or greedy_ensemble) names them.
-_PARAM_NAMES = {
-    "LDA": {"means", "cov_inv", "log_priors"},
-    "KNN": {"train_X", "train_y", "k"},
-    "AdaBoost": {"machines"},
-    "Ensemble": {"members"},
-}
-_MODEL_FIELDS = {"kind", "classes", "scaler", "params"}
-_SHORT = reprlib.Repr()  # a bad field's value, as its error message shows it
-_SHORT.maxlevel = 3
-
-
-def _is_stump(stump) -> bool:
-    """A stump as JSON holds it: [feature index, threshold, polarity, alpha]."""
-    return (isinstance(stump, list) and len(stump) == 4 and type(stump[0]) is int
-            and all(type(v) in (int, float) and math.isfinite(v) for v in stump[1:]))
-
-
 def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
+    """The `model.json` document: `format_version`, `seed` and the model, each
+    model's params as its fit function (or `greedy_ensemble`) names them."""
     def encode(m: TrainedModel) -> dict:
         params = m.params
         if m.kind == "Ensemble":
@@ -399,94 +384,3 @@ def model_to_json(model: TrainedModel, seed: int | None = None) -> str:
     root = {"format_version": MODEL_FORMAT_VERSION, "seed": seed, "model": encode(model)}
     # params as fitted: an array, a scaler's too, is written as nested lists
     return json.dumps(root, indent=2, sort_keys=True, default=np.ndarray.tolist)
-
-
-def model_from_json(text: str) -> TrainedModel:
-    """The model of a `model_to_json` document; ValueError names the kind and field of a bad one."""
-    root = json.loads(text)
-    if not isinstance(root, dict) or "model" not in root:
-        raise ValueError("model document: expected a JSON object with a 'model' field")
-    if root.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError("unsupported model format version")
-
-    def decode(doc, p: int | None = None) -> TrainedModel:
-        """`p` is the feature count of the model's input where an enclosing model's scaler fixes it."""
-        kind = doc.get("kind") if isinstance(doc, dict) else None
-        if not isinstance(kind, str) or kind not in _PARAM_NAMES:
-            raise ValueError(f"field 'kind': unknown model kind {kind!r}")
-        if set(doc) != _MODEL_FIELDS:
-            raise ValueError(f"{kind} model: fields {sorted(doc)}, expected {sorted(_MODEL_FIELDS)}")
-        params, classes = doc["params"], doc["classes"]
-        if not isinstance(params, dict) or set(params) != _PARAM_NAMES[kind]:
-            names = sorted(params) if isinstance(params, dict) else params
-            raise ValueError(f"{kind} model: params {names!r}, expected {sorted(_PARAM_NAMES[kind])}")
-
-        def bad(name: str, value, expected: str) -> ValueError:
-            return ValueError(f"{kind} model: field {name!r} is {_SHORT.repr(value)}, not {expected}")
-
-        def array(name: str, value, kinds: str = "if") -> np.ndarray:
-            """`value` as a finite array of ints ("i"), or of ints or floats ("if")."""
-            try:
-                arr = np.asarray(value)
-            except ValueError:  # ragged nested lists
-                arr = np.asarray(None)
-            if arr.dtype.kind not in kinds:
-                raise bad(name, value, "an array of ints" if kinds == "i" else "a numeric array")
-            if not np.isfinite(arr).all():
-                raise bad(name, value, "an array of finite numbers")
-            return arr
-
-        if not isinstance(classes, list) or not all(type(c) is int and c >= 0 for c in classes):
-            raise bad("classes", classes, "a list of ints >= 0")
-
-        def shaped(name: str, arr: np.ndarray, shape: tuple) -> None:
-            if arr.shape != shape:
-                raise ValueError(f"{kind} model: field {name!r} has shape {arr.shape}, not {shape}")
-
-        if kind in ("LDA", "KNN"):  # every param but KNN's k is an array
-            params = {name: value if name == "k" else array(name, value, "i" if name == "train_y" else "if")
-                      for name, value in params.items()}
-            features = params["cov_inv" if kind == "LDA" else "train_X"]
-            p = features.shape[-1] if p is None and features.ndim else p
-        scaler = doc["scaler"]
-        if scaler is not None:
-            if not isinstance(scaler, dict) or set(scaler) != {"mean", "std"}:
-                raise bad("scaler", scaler, "null or an object of 'mean' and 'std'")
-            scaler = Scaler(**{name: array(f"scaler.{name}", value) for name, value in scaler.items()})
-            p = scaler.mean.size if p is None else p
-            shaped("scaler.mean", scaler.mean, (p,))
-            shaped("scaler.std", scaler.std, (p,))
-            if not (scaler.std > 0).all():
-                raise bad("scaler.std", scaler.std.tolist(), "an array of numbers > 0")
-
-        if kind == "LDA":
-            shaped("means", params["means"], (len(classes), p))
-            shaped("cov_inv", params["cov_inv"], (p, p))
-            shaped("log_priors", params["log_priors"], (len(classes),))
-        elif kind == "KNN":
-            k, n_train = params["k"], len(params["train_X"]) if params["train_X"].ndim else 0
-            shaped("train_X", params["train_X"], (n_train, p))
-            shaped("train_y", params["train_y"], (n_train,))
-            if type(k) is not int or not 1 <= k <= n_train:
-                raise bad("k", k, f"an int in [1, {n_train}]")
-            if not np.isin(params["train_y"], classes).all():
-                raise bad("train_y", params["train_y"].tolist(), "an array of labels from 'classes'")
-        elif kind == "AdaBoost":
-            machines = params["machines"]
-            if not isinstance(machines, list) or not all(isinstance(m, list) and all(map(_is_stump, m))
-                                                         for m in machines):
-                raise bad("machines", machines, "a list of lists of [feature, threshold, polarity, alpha]")
-            if len(machines) != len(classes):
-                raise bad("machines", machines, f"one list of stumps per class ({len(classes)})")
-            if p is not None and not all(0 <= stump[0] < p for stumps in machines for stump in stumps):
-                raise bad("machines", machines, f"stumps on feature indices in [0, {p})")
-            params = {"machines": [[tuple(stump) for stump in stumps] for stumps in machines]}
-        else:
-            members = params["members"]
-            if not isinstance(members, list) or not members or not all(
-                    isinstance(m, list) and len(m) == 2 and type(m[1]) is int and m[1] >= 1 for m in members):
-                raise bad("members", members, "a non-empty list of [model, multiplicity >= 1] pairs")
-            params = {"members": [(decode(member, p), mult) for member, mult in members]}
-        return TrainedModel(kind=kind, classes=tuple(classes), params=params, scaler=scaler)
-
-    return decode(root["model"])

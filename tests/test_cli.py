@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -369,6 +371,26 @@ class TestTrainEvaluate:
         for name in ("report_nback_multi.csv", "report_nback_multi.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes() == (c / name).read_bytes()
 
+    def test_all_missing_feature_column_prints_only_named_messages(self, tmp_path):
+        """Every pupil_left confidence 0 leaves lhipa_left missing in every row,
+        so the scaler sees an all-missing column.  The command runs in its own
+        process, where a Python warning would reach stderr."""
+        assert run_cli(["synth", "--out", str(tmp_path / "synth"), "--participants", "5", "--seed", "7"]) == 0
+        for path in (tmp_path / "synth" / "dataset").rglob("pupil_left.csv"):
+            header, *lines = path.read_text().splitlines()
+            rows = [line.rsplit(",", 1)[0] + ",0" for line in lines]
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run([sys.executable, "-m", "loadsense.cli", "evaluate", "--dataset",
+                               str(tmp_path / "synth" / "dataset"), "--out", str(tmp_path / "eval"),
+                               "--task", "nback", "--subset", "heart_eye"], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert any("lhipa" in line or "pupil" in line for line in lines)
+        assert [line for line in lines if not line.startswith(("warning: ", "skipping segment: "))] == []
+
     def test_report_prints_saved_file(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "eval"
         run_cli(["evaluate", "--dataset", str(dataset_dir), "--out", str(out),
@@ -456,6 +478,16 @@ class TestSeedEnvOverride:
                         "--seed", "4"]) == 0
         assert json.loads((tmp_path / "out" / "run.json").read_text())["seed"] == 4
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", sorted(RECORDED_OPTIONS))
+    def test_negative_seed_is_usage_error(self, command, tmp_path, monkeypatch, capsys):
+        argv = [command, "--out", str(tmp_path / "out"), *RECORDED_OPTIONS[command](str(tmp_path / "ds"))]
+        assert run_cli([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "usage: --seed must be a non-negative integer, got -1\n"
+        monkeypatch.setenv("LOADSENSE_SEED", "-3")
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "usage: LOADSENSE_SEED must be a non-negative integer, got -3\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestInputImmutability:

@@ -261,6 +261,39 @@ class TestLoadDataset:
         assert str(info.value) == want
         assert run_cli(["validate", "--dataset", str(tmp_path), "--strict"]) == 1
 
+    @pytest.mark.parametrize("duration", ["135.5058199718929", " 200 ", True, False, None, [120.0], {"s": 120.0}],
+                             ids=["numeric_string", "padded_string", "true", "false", "null", "list", "object"])
+    def test_non_numeric_duration_skips_the_segment(self, tiny_dataset, tmp_path, duration):
+        write_dataset(tiny_dataset, tmp_path)
+        manifest = tmp_path / "p001" / "nback_easy" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["duration_s"] = duration
+        manifest.write_text(json.dumps(doc))
+        want = f"{manifest}: field 'duration_s' has non-numeric value {duration!r}"
+        messages = []
+        ds = load_dataset(tmp_path, report=messages.append)
+        assert len(ds.segments) == len(tiny_dataset.segments) - 1
+        assert messages == [f"skipping segment: {want}"]
+        with pytest.raises(DatasetError) as info:
+            load_dataset(tmp_path, strict=True)
+        assert str(info.value) == want
+        assert run_cli(["validate", "--dataset", str(tmp_path), "--strict"]) == 1
+
+    @pytest.mark.parametrize("text, shown", [("120", "120.0"), ("1e999", "inf"), ("1" + "0" * 400, "inf"),
+                                             ("-" + "1" * 400, "-inf")],
+                             ids=["int", "float_overflow", "int_overflow", "negative_int_overflow"])
+    def test_numeric_duration_is_read_as_a_float(self, clean_segment, tmp_path, text, shown):
+        """An int reads as its float; one beyond the float range as an infinity, which validation rejects."""
+        write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
+        manifest = tmp_path / "p000" / "nback_easy" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(doc).replace(f'"duration_s": {doc["duration_s"]!r}', f'"duration_s": {text}'))
+        if shown == "120.0":
+            assert load_dataset(tmp_path).segments[0].duration_s == 120.0
+        else:
+            with pytest.raises(DatasetError, match=rf"nback_easy: duration_s {shown} outside \[60, 300\]"):
+                load_dataset(tmp_path, strict=True)
+
     def test_unknown_event_kind_errors(self, clean_segment, tmp_path):
         write_dataset(Dataset(segments=(clean_segment,)), tmp_path)
         events = tmp_path / "p000" / "nback_easy" / "events.csv"
