@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Subcommands: synth | validate | features | stats | train | evaluate | report.
+Subcommands: synth | validate | features | stats | train | evaluate.
 Exit codes: 0 success, 1 data error, 2 usage error.  Every command but validate
-and report writes its files into --out through `_write_outputs`, then a
-run.json provenance record: the command line, the seed, and as `config` every
-parsed option but --out and --seed, with that config's hash.  Skipped segments
-and segment warnings go to stderr.
+writes its files into --out through `_write_outputs`, then a run.json
+provenance record: the command line, the seed, and as `config` every parsed
+option but --out and --seed, with that config's hash.  Skipped segments and
+segment warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -126,10 +126,11 @@ def cmd_evaluate(args, argv) -> int:
     return 0
 
 
-def cmd_report(args, argv) -> int:
-    text = Path(args.report_csv).read_text(encoding="utf-8")
-    print(text, end="")
-    return 0
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("synth", cmd_synth, "generate a synthetic dataset tree", writes)
-    p.add_argument("--participants", type=int, default=None)
+    p.add_argument("--participants", type=_count, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--null", action="store_true", help="zero all level effects")
     command("validate", cmd_validate, "count segment and dataset issues", reads)
@@ -162,9 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("stats", cmd_stats, "descriptives, correlations, reliability, paired t-tests", reads, writes)
     command("train", cmd_train, "fit and save an ensemble model", reads, writes, learns)
     p = command("evaluate", cmd_evaluate, "nested cross-validation report", reads, writes, learns)
-    p.add_argument("--threads", type=int, default=1)
-    p = command("report", cmd_report, "print a saved report file")
-    p.add_argument("report_csv")
+    p.add_argument("--threads", type=_count, default=1)
     return parser
 
 

@@ -155,11 +155,6 @@ class FeatureVector:
     lhipa_right: float | None = None
     drive_avg_dev: float | None = None
 
-    @property
-    def missing(self) -> frozenset[str]:
-        """Names of the features that are None."""
-        return frozenset(name for name in FEATURE_NAMES if getattr(self, name) is None)
-
     def value(self, name: str) -> float | None:
         if name not in FEATURE_NAMES:
             raise KeyError(name)

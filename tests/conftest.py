@@ -65,12 +65,13 @@ def make_segment(
     return SessionSegment(**fields)
 
 
-@pytest.fixture
+# shared by the whole session: a segment is frozen and its arrays read-only
+@pytest.fixture(scope="session")
 def clean_segment() -> SessionSegment:
     return make_segment()
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def tiny_dataset() -> Dataset:
     segments = []
     for pid in ("p000", "p001"):

@@ -391,14 +391,6 @@ class TestTrainEvaluate:
         assert any("lhipa" in line or "pupil" in line for line in lines)
         assert [line for line in lines if not line.startswith(("warning: ", "skipping segment: "))] == []
 
-    def test_report_prints_saved_file(self, dataset_dir, tmp_path, capsys):
-        out = tmp_path / "eval"
-        run_cli(["evaluate", "--dataset", str(dataset_dir), "--out", str(out),
-                 "--seed", "5", "--task", "nback", "--scheme", "multi", "--subset", "heart"])
-        capsys.readouterr()
-        assert run_cli(["report", str(out / "report_nback_multi.csv")]) == 0
-        assert "33.33" in capsys.readouterr().out
-
 
 # each writing command's options besides --out and --seed, given the dataset directory
 RECORDED_OPTIONS = {
@@ -465,11 +457,11 @@ class TestSeedEnvOverride:
         assert run_cli(["features", "--dataset", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "usage: LOADSENSE_SEED must be an integer, got 'abc'\n"
 
-    def test_non_integer_env_is_not_read_by_report(self, tmp_path, monkeypatch, capsys):
+    def test_non_integer_env_is_not_read_by_validate(self, tiny_dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LOADSENSE_SEED", "abc")
-        (tmp_path / "r.csv").write_text("a,b\n")
-        assert run_cli(["report", str(tmp_path / "r.csv")]) == 0
-        assert capsys.readouterr() == ("a,b\n", "")
+        write_dataset(tiny_dataset, tmp_path / "ds")
+        assert run_cli(["validate", "--dataset", str(tmp_path / "ds")]) == 0
+        assert capsys.readouterr() == ("12 segments, 0 issues\n", "")
 
     def test_non_integer_env_is_not_read_with_explicit_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LOADSENSE_SEED", "abc")
@@ -487,6 +479,18 @@ class TestSeedEnvOverride:
         monkeypatch.setenv("LOADSENSE_SEED", "-3")
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == "usage: LOADSENSE_SEED must be a non-negative integer, got -3\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestCountOptions:
+    @pytest.mark.parametrize("command, option", [("synth", "--participants"), ("evaluate", "--threads")],
+                             ids=["participants", "threads"])
+    def test_count_below_one_is_usage_error(self, command, option, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path / "out"), *RECORDED_OPTIONS[command](str(tmp_path / "ds"))]
+        for value in ("0", "-2"):
+            assert run_cli([*argv, option, value]) == 2
+            message = f" error: argument {option}: must be a positive integer, got {value}\n"
+            assert capsys.readouterr().err.endswith(message)
         assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Repository-wide reference checks: every top-level library function and
-class has a program consumer, every generator setting is read, and every
-function the benchmark tracer wraps still exists."""
+class, and every method and property of a library class, has a program
+consumer, every generator setting is read, and every function the benchmark
+tracer wraps still exists."""
 
 import ast
 import dataclasses
@@ -68,6 +69,33 @@ def test_every_public_name_has_a_program_consumer():
 def test_every_private_name_has_a_program_consumer():
     referenced = _program_references()
     assert {name for name in _definitions(private=True) if name not in referenced} == set()
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Attribute names a module reads as `obj.name`, leaving out those it also
+    assigns as `obj.name = ...`: such a name is an attribute of its own (the
+    benchmark tracer's `missing` list, say), not a library method."""
+    loads, stores = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            (stores if isinstance(node.ctx, ast.Store) else loads).add(node.attr)
+    return loads - stores
+
+
+def test_every_method_has_a_program_consumer():
+    """Every non-dunder method and property of a package class is read as an
+    attribute by some program module."""
+    read = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.glob("*.py")):
+            read |= _attribute_reads(ast.parse(path.read_text()))
+    methods = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                methods |= {(f"{path.name}:{node.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")}
+    assert {method for method in methods if method[1] not in read} == set()
 
 
 def test_every_generator_setting_is_read():
